@@ -101,13 +101,7 @@ def _phi(ctx, roots, cache, t11_mode, memo):
             if ebar == 1:
                 coef = 1.0 + 0.0j
             else:
-                coef = amp.F_offshell(model, ebar - 1, ebar - 1, 2, roots[0],
-                                      tuple(roots[j - 1] for j in jgrp), cache)
-            for j in jgrp:
-                for k in comp:
-                    coef *= _ratio(model, roots[k - 1], roots[j - 1])
-                    coef *= amp.theta_less(model, roots[k - 1], roots[j - 1],
-                                           k, j)
+                coef = amp.g_coefficient(model, ebar, jgrp, roots, cache)
             if t11_mode == "scalar":
                 for j in jgrp:
                     coef *= vacuum_weight(ctx, roots[j - 1], 1)

@@ -18,7 +18,7 @@ __all__ = [
     "vacuum_weight", "spin_z_total", "sector_of_index", "sector_indices",
 ]
 
-DENSE_LIMIT = 4096  # largest N^L held as dense complex matrices
+DENSE_LIMIT = 4096  # largest N^L whose dense form may be requested
 
 
 class ChainContext:
@@ -38,7 +38,6 @@ class ChainContext:
         self.inhomogeneities = inhomogeneities
         self.N = model.N
         self.dim = model.N ** L
-        self._mono_cache = {}
 
     def __repr__(self):
         return (f"ChainContext({self.model.name}, N={self.N}, L={self.L}, "
@@ -46,30 +45,26 @@ class ChainContext:
 
 
 class ChainOperator:
-    """Linear operator on the chain space, dense or matrix-free."""
+    """Matrix-free linear operator on the chain space.
 
-    def __init__(self, N, L, sector_shift, matrix=None, apply_fn=None):
+    `apply` takes a vector of length N^L or a (N^L, k) batch of columns.
+    """
+
+    def __init__(self, N, L, sector_shift, apply_fn):
         self.N = N
         self.L = L
         self.dim = N ** L
         self.sector_shift = sector_shift
-        self.matrix = matrix
         self._apply_fn = apply_fn
 
     def apply(self, vec):
-        vec = np.asarray(vec, dtype=complex)
-        if self.matrix is not None:
-            return self.matrix @ vec
-        return self._apply_fn(vec)
+        return self._apply_fn(np.asarray(vec, dtype=complex))
 
     def to_matrix(self):
-        if self.matrix is not None:
-            return self.matrix
         if self.dim > DENSE_LIMIT:
             raise DimensionTooLarge(
                 f"dense form of a dim-{self.dim} operator was requested")
-        cols = [self.apply(col) for col in np.eye(self.dim, dtype=complex).T]
-        return np.array(cols).T
+        return self.apply(np.eye(self.dim, dtype=complex))
 
 
 class StateVector:
@@ -136,98 +131,47 @@ def lax(model, lam, mu_i):
 def _site_blocks(model, lam, mu_i):
     """R(lam, mu_i) arranged as site operators: blocks[c, e][i, j] = R_{c+1,i+1}^{e+1,j+1}."""
     N = model.N
-    return eval_r(model, lam, mu_i).dense().reshape(N, N, N, N).transpose(0, 2, 1, 3)
-
-
-def _apply_site_left(op, k, L, N, mat):
-    """(I x op_k x I) @ mat for a dense mat on the chain space."""
-    pre = N ** (k - 1)
-    rest = mat.size // (pre * N)
-    m3 = mat.reshape(pre, N, rest)
-    return np.einsum("ij,pjr->pir", op, m3).reshape(mat.shape)
-
-
-def _monodromy_column(ctx, lam, b):
-    """Dense column strip [T_{1,b}, ..., T_{N,b}] of the monodromy matrix."""
-    key = (lam, b)
-    got = ctx._mono_cache.get(key)
-    if got is not None:
-        return got
-    N, L, dim = ctx.N, ctx.L, ctx.dim
-    if dim > DENSE_LIMIT:
-        raise DimensionTooLarge(
-            f"dim {dim} exceeds the dense limit {DENSE_LIMIT}")
-    blocks = _site_blocks(ctx.model, lam, ctx.inhomogeneities[0])
-    strip = [None] * N
-    post_eye = np.eye(N ** (L - 1), dtype=complex)
-    for c in range(N):
-        blk = blocks[c, b - 1]
-        # site 1 is the slowest axis, i.e. the leftmost kron factor
-        strip[c] = np.kron(blk, post_eye) if L > 1 else blk.astype(complex)
-    for k in range(2, L + 1):
-        blocks = _site_blocks(ctx.model, lam, ctx.inhomogeneities[k - 1])
-        new = [None] * N
-        for c in range(N):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for e in range(N):
-                acc += _apply_site_left(blocks[c, e], k, L, N, strip[e])
-            new[c] = acc
-        strip = new
-    strip = np.array(strip)
-    if len(ctx._mono_cache) >= 1024:
-        ctx._mono_cache.clear()  # pure rebuilds; bound the dense footprint
-    ctx._mono_cache[key] = strip
-    return strip
+    return lax(model, lam, mu_i).reshape(N, N, N, N).transpose(0, 2, 1, 3)
 
 
 def monodromy_element(ctx, lam, a, b):
     """The (a, b) auxiliary block of the monodromy matrix at `lam`.
 
-    Below the dense limit the element is materialized (and cached per
-    column strip); above it a matrix-free applier contracts the Lax chain
-    site by site.
+    The returned operator contracts the Lax chain site by site on each
+    application; no dense form is built.
     """
     N = ctx.N
     if not (1 <= a <= N and 1 <= b <= N):
         raise IndexError(f"auxiliary indices ({a},{b}) outside 1..{N}")
-    if ctx.dim <= DENSE_LIMIT:
-        strip = _monodromy_column(ctx, lam, b)
-        return ChainOperator(N, ctx.L, b - a, matrix=strip[a - 1])
-
-    def _apply(vec):
-        return _apply_monodromy_free(ctx, lam, a, b, vec)
-
-    return ChainOperator(N, ctx.L, b - a, apply_fn=_apply)
+    return ChainOperator(N, ctx.L, b - a,
+                         lambda vec: _apply_monodromy(ctx, lam, a, b, vec))
 
 
-def _apply_monodromy_free(ctx, lam, a, b, vec):
+def _apply_monodromy(ctx, lam, a, b, vec):
+    """T_{a,b}(lam) on a vector or on each column of a (N^L, k) batch."""
     N, L = ctx.N, ctx.L
-    cur = np.zeros((N,) + (N,) * L, dtype=complex)
-    cur[b - 1] = np.asarray(vec, dtype=complex).reshape((N,) * L)
+    batch = vec.shape[1:]
+    cur = np.zeros((N,) + (N,) * L + batch, dtype=complex)
+    cur[b - 1] = vec.reshape((N,) * L + batch)
     for k in range(1, L + 1):
         blocks = _site_blocks(ctx.model, lam, ctx.inhomogeneities[k - 1])
         moved = np.moveaxis(cur, k, 1)
         new = np.einsum("baij,aj...->bi...", blocks, moved)
         cur = np.moveaxis(new, 1, k)
-    return cur[a - 1].reshape(-1)
+    return cur[a - 1].reshape(vec.shape)
 
 
 def transfer_matrix(ctx, lam):
     """T(lam) = sum_a T_{a,a}(lam); commutes with itself at other lam."""
     N = ctx.N
-    if ctx.dim <= DENSE_LIMIT:
-        total = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-        for a in range(1, N + 1):
-            total += _monodromy_column(ctx, lam, a)[a - 1]
-        return ChainOperator(N, ctx.L, 0, matrix=total)
 
     def _apply(vec):
-        out = np.zeros(ctx.dim, dtype=complex)
+        out = np.zeros(vec.shape, dtype=complex)
         for a in range(1, N + 1):
-            out += _apply_monodromy_free(ctx, lam, a, a, vec)
+            out += _apply_monodromy(ctx, lam, a, a, vec)
         return out
 
-    return ChainOperator(N, ctx.L, 0, apply_fn=_apply)
+    return ChainOperator(N, ctx.L, 0, _apply)
 
 
 def reference_state(N, L):
@@ -253,9 +197,8 @@ def spin_z_total(N, L):
     dim = N ** L
     diag = np.array([L * s - sector_of_index(i, N, L) for i in range(dim)],
                     dtype=complex)
-    if dim <= DENSE_LIMIT:
-        return ChainOperator(N, L, 0, matrix=np.diag(diag))
-    return ChainOperator(N, L, 0, apply_fn=lambda v: diag * v)
+    return ChainOperator(N, L, 0,
+                         lambda v: np.einsum("i,i...->i...", diag, v))
 
 
 def sector_dimension(N, L, n):

@@ -1,7 +1,7 @@
 """Command-line front end: config ingestion, command dispatch, reports.
 
 Config files are flat ``key = value`` text: `model`, `N`, `table_file`,
-`L`, `inhomogeneities = [...]` plus named model parameters (e.g. `eta`).
+`L`, `inhomogeneities = [...]` plus the model parameter `eta`.
 Reports are JSON-shaped documents with every float carrying 17
 significant digits so that runs are reproducible bit-for-bit (the
 timestamp field is the only run-dependent entry).
@@ -16,7 +16,6 @@ import numpy as np
 from . import amplitudes as amp
 from . import bethe as bt
 from . import verify
-from ._parallel import parallel_map
 from .chain import ChainContext, monodromy_element, transfer_matrix
 from .errors import (ConfigError, DimensionTooLarge, InvalidOption,
                      NoConvergence, ParameterDomain, Singularity,
@@ -80,31 +79,31 @@ def build_model(raw, lines):
         except OSError as err:
             raise ConfigError(f"cannot read table file: {err}",
                               lines.get("table_file", line)) from None
-    params = {}
-    for key, value in raw.items():
-        if key in _RESERVED_KEYS:
-            continue
-        params[key] = _parse_complex(value, lines[key])
-    if name == "six_vertex":
-        n = int(raw.get("N", 2))
-        if n != 2:
-            raise ConfigError("six_vertex has N = 2", lines.get("N", line))
-        return six_vertex(**params) if params else six_vertex()
-    if name == "higher_spin_xxz":
-        if "N" not in raw:
-            raise ConfigError("higher_spin_xxz needs 'N'", line)
-        try:
-            n = int(raw["N"])
-        except ValueError:
-            raise ConfigError(f"N must be an integer, got {raw['N']!r}",
-                              lines["N"]) from None
-        return higher_spin_xxz(n, **params) if params \
-            else higher_spin_xxz(n)
     if name == "custom":
         raise ConfigError(
             "custom models are a library-level extension point; "
             "they cannot be defined in a config file", line)
-    raise ConfigError(f"unknown model {name!r}", line)
+    if name not in ("six_vertex", "higher_spin_xxz"):
+        raise ConfigError(f"unknown model {name!r}", line)
+    params = {}
+    for key, value in raw.items():
+        if key in _RESERVED_KEYS:
+            continue
+        if key != "eta":
+            raise ConfigError(f"unknown parameter {key!r}", lines[key])
+        params[key] = _parse_complex(value, lines[key])
+    if name == "higher_spin_xxz" and "N" not in raw:
+        raise ConfigError("higher_spin_xxz needs 'N'", line)
+    try:
+        n = int(raw.get("N", 2))
+    except ValueError:
+        raise ConfigError(f"N must be an integer, got {raw['N']!r}",
+                          lines["N"]) from None
+    if name == "six_vertex":
+        if n != 2:
+            raise ConfigError("six_vertex has N = 2", lines.get("N", line))
+        return six_vertex(**params)
+    return higher_spin_xxz(n, **params)
 
 
 def build_context(model, raw, lines):
@@ -215,9 +214,9 @@ def cmd_check_r(model, ctx, opts):
                for _ in range(n)]
         ice = [0.0 if check_ice_rule(model.eval_r(p[0], p[1])).ok else 1.0
                for p in pts]
-        ybe = parallel_map(lambda p: check_yang_baxter(model, *p), pts)
-        uni = parallel_map(lambda p: check_unitarity(model, p[0], p[1]), pts)
-        reg = parallel_map(lambda p: check_regularity(model, p[0]), pts)
+        ybe = [check_yang_baxter(model, *p) for p in pts]
+        uni = [check_unitarity(model, p[0], p[1]) for p in pts]
+        reg = [check_regularity(model, p[0]) for p in pts]
         checks = [("ice_rule", ice, pts), ("yang_baxter", ybe, pts),
                   ("unitarity", uni, pts), ("regularity", reg, pts)]
     for name, vals, where in checks:
@@ -252,6 +251,10 @@ def cmd_identities(model, ctx, opts):
 
 
 def cmd_solve(model, ctx, opts):
+    if opts.lambdas < 1:
+        raise InvalidOption("lambdas must be >= 1")
+    if opts.seeds < 1:
+        raise InvalidOption("seeds must be >= 1")
     rng = np.random.default_rng(opts.seed)
     lams = [random_point(rng, model.sample_window)
             for _ in range(opts.lambdas)]
@@ -383,7 +386,7 @@ def cmd_rules(model, ctx, opts):
                 "residual": float("inf"), "resampled": notes,
                 "note": "all sample pairs were singular"}
 
-    results = list(parallel_map(one, list(enumerate(combos))))
+    results = [one(item) for item in enumerate(combos)]
     residuals = [r["residual"] for r in results]
     counts = verify.creation_rule_counts(model.N)
     expected = verify.table3_counts(model.N)

@@ -347,3 +347,12 @@ def test_eigenstate_residual_behaviour(ctx6):
     assert V.eigenstate_residual(ctx6, 0.4 - 0.3j, rs) < 1e-8
     assert V.eigenstate_residual(ctx6, 0.4 - 0.3j, (0.9 + 0.2j,)) > 1e-4
     assert V.eigenstate_residual(ctx6, 0.4 - 0.3j, ()) < 1e-12
+
+
+def test_eigenstate_residual_is_relative_to_eigenvalue(ctx3h):
+    # close to the weight pole at lam - mu = -2 eta, |Lambda| is about 1e6;
+    # an error at machine precision relative to it must not read as a miss
+    lam = -0.88 + 0.02j
+    for rs in B.solve_bae(ctx3h, 1, n_seeds=30):
+        assert abs(B.eigenvalue(ctx3h, lam, rs)) > 1e5
+        assert V.eigenstate_residual(ctx3h, lam, rs) < 1e-10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from u1bethe import chain as C
+from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import DimensionTooLarge
 
@@ -40,7 +41,7 @@ def test_single_site_monodromy_pattern(spin1):
     N = spin1.N
     for a in range(1, N + 1):
         for b in range(1, N + 1):
-            mat = C.monodromy_element(ctx, lam, a, b).matrix
+            mat = C.monodromy_element(ctx, lam, a, b).to_matrix()
             want = np.array([[w.entry(a, i, b, j) for j in range(1, N + 1)]
                              for i in range(1, N + 1)])
             assert np.array_equal(mat, want)
@@ -59,11 +60,11 @@ def test_triangularity_exact(fixture, request):
 @pytest.mark.parametrize("fixture", ["ctx6", "ctx3"])
 def test_spin_commutation_rule(fixture, request):
     ctx = request.getfixturevalue(fixture)
-    sz = C.spin_z_total(ctx.N, ctx.L).matrix
+    sz = C.spin_z_total(ctx.N, ctx.L).to_matrix()
     lam = 0.31 + 0.12j
     for a in range(1, ctx.N + 1):
         for b in range(1, ctx.N + 1):
-            tab = C.monodromy_element(ctx, lam, a, b).matrix
+            tab = C.monodromy_element(ctx, lam, a, b).to_matrix()
             comm = tab @ sz - sz @ tab
             assert np.max(np.abs(comm - (b - a) * tab)) < 1e-12
 
@@ -96,15 +97,15 @@ def test_commuting_family(six, spin1):
         ctx = C.ChainContext(model, L)
         for _ in range(20):
             lam, mu = points(model, rng, 2)
-            t1 = C.transfer_matrix(ctx, lam).matrix
-            t2 = C.transfer_matrix(ctx, mu).matrix
+            t1 = C.transfer_matrix(ctx, lam).to_matrix()
+            t2 = C.transfer_matrix(ctx, mu).to_matrix()
             bound = 1e-10 * np.max(np.abs(t1)) * np.max(np.abs(t2))
             assert np.max(np.abs(t1 @ t2 - t2 @ t1)) < bound
 
 
 def test_transfer_commutes_with_spin(ctx3):
-    t = C.transfer_matrix(ctx3, 0.41 - 0.09j).matrix
-    sz = C.spin_z_total(ctx3.N, ctx3.L).matrix
+    t = C.transfer_matrix(ctx3, 0.41 - 0.09j).to_matrix()
+    sz = C.spin_z_total(ctx3.N, ctx3.L).to_matrix()
     assert np.max(np.abs(t @ sz - sz @ t)) == 0.0
 
 
@@ -114,7 +115,7 @@ def test_reference_state_and_vacuum(ctx3):
     assert ref.sector == 0
     sz = C.spin_z_total(ctx3.N, ctx3.L)
     want = ctx3.L * (ctx3.N - 1) / 2.0
-    assert abs((sz.matrix @ ref.amplitudes)[0] - want) == 0.0
+    assert abs((sz.to_matrix() @ ref.amplitudes)[0] - want) == 0.0
     lam = 0.37 + 0.21j
     # trace identity: T(lam)|0> = (sum_a w_a)|0>
     tv = C.transfer_matrix(ctx3, lam).apply(ref.amplitudes)
@@ -140,26 +141,78 @@ def test_single_site_vacuum_at_regular_point(six):
 
 def test_spin_z_values():
     op = C.spin_z_total(2, 1)
-    assert np.array_equal(np.diag(op.matrix), [0.5, -0.5])
+    assert np.array_equal(np.diag(op.to_matrix()), [0.5, -0.5])
 
 
-def test_matrix_free_agrees_with_dense(spin1):
-    ctx = C.ChainContext(spin1, 3)
-    rng = rng_for("mf")
-    v = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+def _brute_force_monodromy(ctx, lam):
+    """Full monodromy on C^N (x) (C^N)^(x L) as a dense product of Lax factors.
+
+    Auxiliary space first, then sites 1..L with site 1 slowest; the site-1
+    factor is rightmost.
+    """
+    N, L = ctx.N, ctx.L
+    full = np.eye(N ** (L + 1), dtype=complex)
+    for k in range(1, L + 1):
+        r = C.lax(ctx.model, lam, ctx.inhomogeneities[k - 1])
+        factor = np.zeros_like(full)
+        for c in range(N):
+            for e in range(N):
+                aux = np.zeros((N, N))
+                aux[c, e] = 1.0
+                site = r[c * N:(c + 1) * N, e * N:(e + 1) * N]
+                factor += np.kron(aux, np.kron(
+                    np.eye(N ** (k - 1)), np.kron(site, np.eye(N ** (L - k)))))
+        full = factor @ full
+    return full
+
+
+def test_monodromy_matches_brute_force_product(spin1):
+    ctx = C.ChainContext(spin1, 3, [0.03 - 0.08j, -0.11 + 0.06j, 0.21 + 0.13j])
     lam = 0.31 + 0.12j
+    full = _brute_force_monodromy(ctx, lam)
+    dim = ctx.dim
+    scale = max(1.0, np.max(np.abs(full)))
     for a in range(1, 4):
         for b in range(1, 4):
-            dense = C.monodromy_element(ctx, lam, a, b).apply(v)
-            free = C._apply_monodromy_free(ctx, lam, a, b, v)
-            assert np.max(np.abs(dense - free)) < 1e-13 * max(
-                1.0, np.max(np.abs(dense)))
+            want = full[(a - 1) * dim:a * dim, (b - 1) * dim:b * dim]
+            got = C.monodromy_element(ctx, lam, a, b).to_matrix()
+            assert np.max(np.abs(got - want)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("fixture", ["ctx6", "ctx3"])
+def test_batched_apply_matches_single_applies(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    rng = rng_for("batch", ctx.N)
+    batch = rng.standard_normal((ctx.dim, 4)) + 1j * rng.standard_normal((ctx.dim, 4))
+    lam = 0.27 - 0.14j
+    ops = [C.monodromy_element(ctx, lam, a, b)
+           for a in range(1, ctx.N + 1) for b in range(1, ctx.N + 1)]
+    ops += [C.transfer_matrix(ctx, lam), C.spin_z_total(ctx.N, ctx.L)]
+    for op in ops:
+        got = op.apply(batch)
+        assert got.shape == batch.shape
+        for k in range(batch.shape[1]):
+            single = op.apply(batch[:, k])
+            assert np.max(np.abs(got[:, k] - single)) < 1e-14 * max(
+                1.0, np.max(np.abs(single)))
+
+
+def test_sector_blocks_match_dense_transfer(six, spin1):
+    for model, L in [(six, 4), (spin1, 3)]:
+        ctx = C.ChainContext(model, L)
+        lam = 0.19 + 0.23j
+        tmat = C.transfer_matrix(ctx, lam)
+        dense = tmat.to_matrix()
+        scale = max(1.0, np.max(np.abs(dense)))
+        for n in range((ctx.N - 1) * ctx.L + 1):
+            idx = C.sector_indices(ctx.N, ctx.L, n)
+            block = V._sector_block(tmat, idx)
+            assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) < 1e-14 * scale
 
 
 def test_matrix_free_above_dense_limit(six):
     ctx = C.ChainContext(six, 13)           # dim 8192 > dense limit
     op = C.monodromy_element(ctx, 0.3, 2, 1)
-    assert op.matrix is None
     ref = C.reference_state(2, 13).amplitudes
     assert np.all(op.apply(ref) == 0)       # triangularity, matrix-free path
     with pytest.raises(DimensionTooLarge):

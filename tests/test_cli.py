@@ -47,11 +47,16 @@ def test_check_r_pass(six_cfg, tmp_path):
     assert '"check": "yang_baxter"' in text
 
 
-def test_report_determinism(six_cfg, tmp_path):
+@pytest.mark.parametrize("cfg_name, args", [
+    ("six_cfg", ["check-r", "--samples", "10", "--seed", "7"]),
+    ("spin1_cfg", ["rules", "--seed", "3"]),
+], ids=["check-r", "rules"])
+def test_report_determinism(cfg_name, args, request, tmp_path):
+    cfg = request.getfixturevalue(cfg_name)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
-        assert run(["check-r", "--config", six_cfg, "--samples", "10",
-                    "--seed", "7", "--out", str(path), "--quiet"]) == 0
+        assert run(args + ["--config", cfg, "--out", str(path),
+                           "--quiet"]) == 0
     assert strip_timestamp(a.read_text()) == strip_timestamp(b.read_text())
 
 
@@ -106,6 +111,16 @@ def test_solve_spectrum_dimension_guard(tmp_path, capsys):
     assert "DimensionTooLarge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--spectrum", "--lambdas", "0"],
+    ["--seeds", "0"],
+], ids=["lambdas", "seeds"])
+def test_solve_rejects_empty_options(six_cfg, args, capsys):
+    assert run(["solve", "--config", six_cfg, "--n", "1", *args,
+                "--quiet"]) == 2
+    assert "InvalidOption" in capsys.readouterr().err
+
+
 def test_csv_requires_spectrum(six_cfg, tmp_path, capsys):
     assert run(["solve", "--config", six_cfg, "--n", "1",
                 "--csv", str(tmp_path / "x.csv"), "--quiet"]) == 2
@@ -153,6 +168,15 @@ def test_config_diagnostics(tmp_path):
     with pytest.raises(ConfigError) as err:
         cli.parse_config(dup)
     assert err.value.line == 2
+    for name, text, line in [
+            ("n.cfg", "model = six_vertex\nL = 2\nN = abc\n", 3),
+            ("key.cfg", "model = six_vertex\nfoo = 1\nL = 2\n", 2)]:
+        cfg = write(tmp_path / name, text)
+        with pytest.raises(ConfigError) as err:
+            cli.build_model(*cli.parse_config(cfg))
+        assert err.value.line == line
+        assert run(["check-r", "--config", cfg, "--quiet"]) == 2
+    assert "'foo'" in str(err.value)
 
 
 def test_custom_model_rejected_in_config(tmp_path, capsys):
@@ -205,18 +229,6 @@ def test_table_model_failing_weights_located(tmp_path):
     text = out.read_text()
     assert '"pass": false' in text
     assert '"worst_sample"' in text
-
-
-def test_worker_pool_does_not_change_reports(spin1_cfg, tmp_path, monkeypatch):
-    serial, threaded = tmp_path / "s.json", tmp_path / "t.json"
-    monkeypatch.setenv("BETHE_THREADS", "1")
-    run(["rules", "--config", spin1_cfg, "--seed", "3",
-         "--out", str(serial), "--quiet"])
-    monkeypatch.setenv("BETHE_THREADS", "4")
-    run(["rules", "--config", spin1_cfg, "--seed", "3",
-         "--out", str(threaded), "--quiet"])
-    assert strip_timestamp(serial.read_text()) == \
-        strip_timestamp(threaded.read_text())
 
 
 def test_report_float_precision(six_cfg, tmp_path):
