@@ -24,6 +24,8 @@ DENSE_LIMIT = 4096  # largest N^L whose dense form may be requested
 class ChainContext:
     """Model + chain length + inhomogeneities; immutable once built."""
 
+    _VACUUM_CAP = 4096  # memoized spectral points before the memo is cleared
+
     def __init__(self, model, L, inhomogeneities=None):
         if L < 1:
             raise ValueError(f"chain length must be >= 1, got {L}")
@@ -38,6 +40,7 @@ class ChainContext:
         self.inhomogeneities = inhomogeneities
         self.N = model.N
         self.dim = model.N ** L
+        self._vacuum = {}  # lam -> [w_1(lam), ..., w_N(lam)]
 
     def __repr__(self):
         return (f"ChainContext({self.model.name}, N={self.N}, L={self.L}, "
@@ -185,10 +188,20 @@ def vacuum_weight(ctx, lam, a):
     """w_a(lam): the diagonal monodromy eigenvalue on the reference state."""
     if not 1 <= a <= ctx.N:
         raise IndexError(f"index {a} outside 1..{ctx.N}")
-    out = 1.0 + 0.0j
-    for mu in ctx.inhomogeneities:
-        out *= eval_r(ctx.model, lam, mu).entry(a, 1, a, 1)
-    return out
+    key = complex(lam)
+    got = ctx._vacuum.get(key)
+    if got is None:
+        # all N weights in one pass over the sites, each multiplied in
+        # site order
+        got = [1.0 + 0.0j] * ctx.N
+        for mu in ctx.inhomogeneities:
+            w = eval_r(ctx.model, lam, mu)
+            for b in range(ctx.N):
+                got[b] *= w.entry(b + 1, 1, b + 1, 1)
+        if len(ctx._vacuum) >= ctx._VACUUM_CAP:
+            ctx._vacuum.clear()  # pure values: recompute if evicted
+        ctx._vacuum[key] = got
+    return got[a - 1]
 
 
 def spin_z_total(N, L):

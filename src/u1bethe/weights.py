@@ -1,9 +1,10 @@
 """R-matrix models for vertex systems with a single U(1) charge.
 
-A weight matrix R(lambda, mu) is stored by charge blocks: the ice rule
-a + b = c + d forces every entry outside the blocks to vanish structurally,
-so only the block q = a + b - 1 (q = 1..2N-1) is kept, with a, c running
-over max(1, q+1-N)..min(q, N).
+A weight matrix R(lambda, mu) stores only its ice entries: the ice rule
+a + b = c + d forces every other entry to vanish structurally.  They lie
+in the charge blocks q = a + b - 1 (q = 1..2N-1), with a, c running over
+max(1, q+1-N)..min(q, N), and are kept in one flat array, block by block.
+Evaluations are cached per model within a fixed byte budget.
 
 Built-in families:
 
@@ -15,6 +16,9 @@ Built-in families:
   are transcribed; the Yang-Baxter and unitarity checkers below gate every
   built-in family.
 """
+
+import cmath
+import functools
 
 import numpy as np
 
@@ -31,9 +35,19 @@ __all__ = [
 
 def _finite(z, what="spectral parameter"):
     z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ParameterDomain(f"{what} must be finite, got {z!r}")
     return z
+
+
+def _anisotropy(eta):
+    """`eta` as a complex number; rejects eta in i*pi*Z, where sinh(eta) = 0."""
+    eta = _finite(eta, "eta")
+    nearest = 1j * np.pi * round(eta.imag / np.pi)
+    if abs(eta - nearest) < 1e-12:
+        raise ParameterDomain(
+            f"anisotropy eta = {eta!r} is degenerate: sinh(eta) = 0")
+    return eta
 
 
 def block_range(N, q):
@@ -41,27 +55,59 @@ def block_range(N, q):
     return max(1, q + 1 - N), min(q, N)
 
 
-class WeightMatrix:
-    """One evaluated R(lambda, mu), stored by charge blocks.
+class _Layout:
+    """Flat storage order of the ice entries of an N-state weight matrix.
 
-    Entries are addressed 1-based as R_{a,b}^{c,d} with lower indices the
-    output (row) pair and upper indices the input (column) pair.
+    Entries run block by block (q = a + b - 1), then over a, then over c:
+    the order `WeightMatrix.items` yields them in.
     """
 
-    def __init__(self, N, blocks, extra=None):
+    def __init__(self, N):
+        self.keys = []
+        for q in range(1, 2 * N):
+            lo, hi = block_range(N, q)
+            self.keys += [(a, q + 1 - a, c, q + 1 - c)
+                          for a in range(lo, hi + 1) for c in range(lo, hi + 1)]
+        self.index = {key: k for k, key in enumerate(self.keys)}
+        arr = np.array(self.keys) - 1
+        self.rows = arr[:, 0] * N + arr[:, 1]
+        self.cols = arr[:, 2] * N + arr[:, 3]
+        # position of each lexicographic 0-based ice key (the intertwiner
+        # solver's unknown order) in the flat storage
+        self.solver_keys = sorted(tuple(i - 1 for i in key) for key in self.keys)
+        self.solver_slots = np.array(
+            [self.index[tuple(i + 1 for i in key)] for key in self.solver_keys])
+
+
+_layout = functools.cache(_Layout)  # one layout per N, built on first use
+
+
+def ice_entry_count(N):
+    """Number of entries a + b = c + d of an N-state weight matrix."""
+    return (2 * N ** 3 + N) // 3
+
+
+class WeightMatrix:
+    """One evaluated R(lambda, mu), stored as a flat array of ice entries.
+
+    Entries are addressed 1-based as R_{a,b}^{c,d} with lower indices the
+    output (row) pair and upper indices the input (column) pair.  Entries
+    off the ice rule exist only in matrices built for validation
+    (`from_dense(strict=False)`, `with_injected_entry`) and are kept aside.
+    """
+
+    __slots__ = ("N", "_lay", "_vals", "_extra", "_dense")
+
+    def __init__(self, N, values, extra=None):
         self.N = int(N)
-        self._blocks = blocks
+        self._lay = _layout(self.N)
+        self._vals = values
         self._extra = dict(extra) if extra else {}
         self._dense = None
 
     @classmethod
     def zeros(cls, N):
-        blocks = {}
-        for q in range(1, 2 * N):
-            lo, hi = block_range(N, q)
-            k = hi - lo + 1
-            blocks[q] = np.zeros((k, k), dtype=complex)
-        return cls(N, blocks)
+        return cls(N, np.zeros(ice_entry_count(N), dtype=complex))
 
     @classmethod
     def from_entries(cls, N, entries):
@@ -80,19 +126,17 @@ class WeightMatrix:
         report them.
         """
         arr = np.asarray(arr, dtype=complex)
-        w = cls.zeros(N)
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                for c in range(1, N + 1):
-                    for d in range(1, N + 1):
-                        v = arr[(a - 1) * N + (b - 1), (c - 1) * N + (d - 1)]
-                        if a + b == c + d:
-                            w.set_entry(a, b, c, d, v)
-                        elif v != 0:
-                            if strict:
-                                raise ParameterDomain(
-                                    f"non-ice entry ({a},{b})->({c},{d}) = {v}")
-                            w._extra[(a, b, c, d)] = v
+        lay = _layout(N)
+        w = cls(N, arr[lay.rows, lay.cols])
+        off = arr.copy()
+        off[lay.rows, lay.cols] = 0
+        for r, c in np.argwhere(off != 0).tolist():
+            key = (r // N + 1, r % N + 1, c // N + 1, c % N + 1)
+            v = arr[r, c]
+            if strict:
+                raise ParameterDomain(
+                    "non-ice entry ({},{})->({},{}) = {}".format(*key, v))
+            w._extra[key] = v
         return w
 
     def _check_range(self, *idx):
@@ -102,20 +146,18 @@ class WeightMatrix:
 
     def entry(self, a, b, c, d):
         """R_{a,b}^{c,d}; structurally absent entries read as exact 0."""
+        k = self._lay.index.get((a, b, c, d))
+        if k is not None:  # ice keys are in range
+            return self._vals[k]
         self._check_range(a, b, c, d)
-        if a + b != c + d:
-            return self._extra.get((a, b, c, d), 0.0 + 0.0j)
-        q = a + b - 1
-        lo, _ = block_range(self.N, q)
-        return self._blocks[q][a - lo, c - lo]
+        return self._extra.get((a, b, c, d), 0.0 + 0.0j)
 
     def set_entry(self, a, b, c, d, value):
         self._check_range(a, b, c, d)
-        if a + b != c + d:
+        k = self._lay.index.get((a, b, c, d))
+        if k is None:
             raise ParameterDomain(f"({a},{b})->({c},{d}) violates the ice rule")
-        q = a + b - 1
-        lo, _ = block_range(self.N, q)
-        self._blocks[q][a - lo, c - lo] = complex(value)
+        self._vals[k] = complex(value)
         self._dense = None
 
     def with_injected_entry(self, a, b, c, d, value):
@@ -123,8 +165,7 @@ class WeightMatrix:
 
         Validation hook: lets tests hand check_ice_rule a broken matrix.
         """
-        blocks = {q: m.copy() for q, m in self._blocks.items()}
-        out = WeightMatrix(self.N, blocks, dict(self._extra))
+        out = WeightMatrix(self.N, self._vals.copy(), self._extra)
         if a + b == c + d:
             out.set_entry(a, b, c, d, value)
         else:
@@ -134,13 +175,8 @@ class WeightMatrix:
 
     def items(self):
         """Yield every stored (a, b, c, d, value), ice blocks first."""
-        N = self.N
-        for q in range(1, 2 * N):
-            lo, hi = block_range(N, q)
-            blk = self._blocks[q]
-            for a in range(lo, hi + 1):
-                for c in range(lo, hi + 1):
-                    yield a, q + 1 - a, c, q + 1 - c, blk[a - lo, c - lo]
+        for key, v in zip(self._lay.keys, self._vals):
+            yield (*key, v)
         for (a, b, c, d), v in self._extra.items():
             yield a, b, c, d, v
 
@@ -149,10 +185,16 @@ class WeightMatrix:
         if self._dense is None:
             N = self.N
             out = np.zeros((N * N, N * N), dtype=complex)
-            for a, b, c, d, v in self.items():
+            out[self._lay.rows, self._lay.cols] = self._vals
+            for (a, b, c, d), v in self._extra.items():
                 out[(a - 1) * N + (b - 1), (c - 1) * N + (d - 1)] = v
             self._dense = out
         return self._dense
+
+
+def cache_entry_bytes(N):
+    """Array bytes one cached evaluation can hold: flat entries plus dense()."""
+    return 16 * (ice_entry_count(N) + N ** 4)
 
 
 class ModelSpec:
@@ -181,12 +223,14 @@ class ModelSpec:
         self.solver_ok = solver_ok  # False for table models: no free evaluation
         self._eval_fn = eval_fn
         self._cache = {}
+        self._cache_cap = max(1, self.CACHE_BYTES // cache_entry_bytes(self.N))
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"ModelSpec({self.name}, N={self.N}, {ps})"
 
-    _CACHE_CAP = 65536
+    # byte budget of the evaluation cache, charged by cache_entry_bytes
+    CACHE_BYTES = 32 * 2 ** 20
 
     def eval_r(self, lam, mu):
         lam = _finite(lam)
@@ -195,7 +239,7 @@ class ModelSpec:
         got = self._cache.get(key)
         if got is None:
             got = self._eval_fn(lam, mu)
-            if len(self._cache) >= self._CACHE_CAP:
+            if len(self._cache) >= self._cache_cap:
                 self._cache.clear()  # pure evaluations: recompute if evicted
             self._cache[key] = got
         return got
@@ -215,20 +259,15 @@ def random_point(rng, window):
 # built-in families
 # ----------------------------------------------------------------------
 
-def _six_vertex_entries(eta, u):
+def _six_vertex_weights(eta, c, u):
+    """Flat six-vertex weights at u; `c` is sinh(eta)."""
     a = np.sinh(u + eta)
     b = np.sinh(u)
-    c = np.sinh(eta)
     if abs(a) < 1e-12 * max(1.0, abs(b), abs(c)):
         raise ParameterDomain(f"six_vertex weights have a pole at u = {u}")
-    return {
-        (1, 1, 1, 1): 1.0,
-        (2, 2, 2, 2): 1.0,
-        (1, 2, 1, 2): b / a,
-        (2, 1, 2, 1): b / a,
-        (1, 2, 2, 1): c / a,
-        (2, 1, 1, 2): c / a,
-    }
+    b, c = b / a, c / a
+    # flat order (1,1;1,1) (1,2;1,2) (1,2;2,1) (2,1;1,2) (2,1;2,1) (2,2;2,2)
+    return WeightMatrix(2, np.array([1.0, b, c, c, b, 1.0], dtype=complex))
 
 
 def six_vertex(eta=0.4375):
@@ -237,10 +276,11 @@ def six_vertex(eta=0.4375):
     Weights are pre-normalized by the (1,1;1,1) entry sinh(u + eta), so the
     unitarity relation holds with the identity on the right exactly.
     """
-    eta = _finite(eta, "eta")
+    eta = _anisotropy(eta)
+    c = np.sinh(eta)
 
     def _eval(lam, mu):
-        return WeightMatrix.from_entries(2, _six_vertex_entries(eta, lam - mu))
+        return _six_vertex_weights(eta, c, lam - mu)
 
     return ModelSpec("six_vertex", 2, {"eta": eta}, _eval,
                      rapidity_period=1j * np.pi)
@@ -279,12 +319,6 @@ _INTERTWINER_OFFSETS = (
     (0.7253 - 0.3381j, 0.1931 + 0.6117j),
     (-0.8419 + 0.4457j, 0.3343 - 0.7129j),
 )
-
-
-def _ice_index_list(N):
-    return [(a, b, c, d)
-            for a in range(N) for b in range(N)
-            for c in range(N) for d in range(N) if a + b == c + d]
 
 
 def _intertwiner_columns(N, m1, m2, idx):
@@ -327,7 +361,8 @@ def _intertwiner_normal_matrix(N, eta, w, offsets, idx):
 
 
 def _solve_intertwiner(N, eta, w):
-    idx = _ice_index_list(N)
+    lay = _layout(N)
+    idx = lay.solver_keys  # 0-based ice keys in lexicographic order
     for offsets in _INTERTWINER_OFFSETS:
         gram = _intertwiner_normal_matrix(N, eta, w, offsets, idx)
         evals, evecs = np.linalg.eigh(gram)
@@ -344,10 +379,9 @@ def _solve_intertwiner(N, eta, w):
             raise ParameterDomain(
                 f"higher-spin weights degenerate at u = {w}: "
                 "normalizing (1,1;1,1) entry vanishes")
-        vec = vec / pivot
-        entries = {(a + 1, b + 1, c + 1, d + 1): vec[k]
-                   for k, (a, b, c, d) in enumerate(idx)}
-        return WeightMatrix.from_entries(N, entries)
+        vals = np.empty(len(idx), dtype=complex)
+        vals[lay.solver_slots] = vec / pivot
+        return WeightMatrix(N, vals)
     raise ParameterDomain(
         f"higher-spin intertwiner not unique at u = {w} (degenerate point)")
 
@@ -359,7 +393,7 @@ def higher_spin_xxz(N=3, eta=0.4375):
     solves the mixed Yang-Baxter relation for the unique normalized
     intertwiner.
     """
-    eta = _finite(eta, "eta")
+    eta = _anisotropy(eta)
     if N == 2:
         model = six_vertex(eta)
         model.name = "higher_spin_xxz"

@@ -133,6 +133,22 @@ def test_vacuum_weight_matches_diagonal_elements(ctx6, ctx3):
             assert direct == C.vacuum_weight(ctx, lam, a)
 
 
+def test_vacuum_weight_is_bitwise_site_product(ctx6, ctx3, monkeypatch):
+    # the memo must return exactly the site-ordered product, also for
+    # values recomputed after it was cleared
+    monkeypatch.setattr(C.ChainContext, "_VACUUM_CAP", 2)
+    lams = [0.31 - 0.17j, -0.44 + 0.05j, 0.12 + 0.61j, 0.31 - 0.17j, 0.9]
+    for ctx in (ctx6, ctx3):
+        for lam in lams:
+            for a in range(ctx.N, 0, -1):
+                want = 1.0 + 0.0j
+                for mu in ctx.inhomogeneities:
+                    want *= ctx.model.eval_r(lam, mu).entry(a, 1, a, 1)
+                got = C.vacuum_weight(ctx, lam, a)
+                assert (got.real, got.imag) == (want.real, want.imag)
+            assert len(ctx._vacuum) <= 2
+
+
 def test_single_site_vacuum_at_regular_point(six):
     ctx = C.ChainContext(six, 1, [0.2])
     # normalized weights: rho(lam, lam) is the unit (1,1;1,1) entry

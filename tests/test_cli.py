@@ -158,7 +158,7 @@ def test_rules_command(spin1_cfg, tmp_path):
     assert '"family": "annihilation_creation"' in text
 
 
-def test_config_diagnostics(tmp_path):
+def test_config_diagnostics(tmp_path, capsys):
     bad = write(tmp_path / "bad.cfg", "model = six_vertex\nL equals 2\n")
     with pytest.raises(ConfigError) as err:
         cli.parse_config(bad)
@@ -177,6 +177,13 @@ def test_config_diagnostics(tmp_path):
         assert err.value.line == line
         assert run(["check-r", "--config", cfg, "--quiet"]) == 2
     assert "'foo'" in str(err.value)
+    for name, text in [
+            ("eta6.cfg", "model = six_vertex\neta = 0\nL = 2\n"),
+            ("eta3.cfg", "model = higher_spin_xxz\nN = 3\neta = 0\nL = 2\n")]:
+        cfg = write(tmp_path / name, text)
+        capsys.readouterr()
+        assert run(["check-r", "--config", cfg, "--quiet"]) == 2
+        assert "anisotropy" in capsys.readouterr().err
 
 
 def test_custom_model_rejected_in_config(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,46 @@ def test_eval_cache_is_exact(spin1):
     w1 = spin1.eval_r(0.37 + 0.21j, -0.11)
     w2 = spin1.eval_r(0.37 + 0.21j, -0.11)
     assert w1 is w2
+
+
+@pytest.mark.parametrize("eta", [0.0, 1j * np.pi, -2j * np.pi, 3e-13])
+@pytest.mark.parametrize("family", [W.six_vertex,
+                                    lambda eta: W.higher_spin_xxz(3, eta)])
+def test_degenerate_anisotropy_rejected(family, eta):
+    # sinh(eta) = 0 zeroes the q-brackets and the six-vertex c weight
+    with pytest.raises(ParameterDomain, match="anisotropy"):
+        family(eta)
+
+
+def test_cache_stays_within_byte_budget():
+    N = 4
+    model = W.custom_model(N, lambda lam, mu: {(1, 1, 1, 1): lam - mu})
+    cap = W.ModelSpec.CACHE_BYTES // W.cache_entry_bytes(N)
+    assert cap < 65536
+    for k in range(cap + 25):
+        model.eval_r(k * 1e-3, 0.0).dense()
+        if k == cap - 1:  # full: the most the cache ever holds
+            assert len(model._cache) == cap
+            held = sum(w._vals.nbytes + w._dense.nbytes
+                       for w in model._cache.values())
+            assert held <= W.ModelSpec.CACHE_BYTES
+    assert len(model._cache) == 25  # cleared once on reaching the cap
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_table_file_text_is_stable(tmp_path):
+    six = W.six_vertex(ETA)
+    pts = [(0.3 + 0j, 0.1 + 0j), (0.25 - 0.4j, -0.6 + 0.15j), (0.7j, 0.7j)]
+    path = tmp_path / "six.tab"
+    W.write_table_file(path, [(l, m, six.eval_r(l, m)) for l, m in pts])
+    assert path.read_text() == (DATA / "six_vertex.tab").read_text()
+    # values that encode their own keys pin the N = 3 entry order
+    coded = W.custom_model(3, lambda l, m: {
+        (a, b, c, d): complex(1000 * a + 100 * b + 10 * c + d, -(l - m).real)
+        for a in range(1, 4) for b in range(1, 4) for c in range(1, 4)
+        for d in range(1, 4) if a + b == c + d})
+    path = tmp_path / "coded.tab"
+    W.write_table_file(path, [(0.5 + 0j, 0.25 + 0j, coded.eval_r(0.5, 0.25))])
+    assert path.read_text() == (DATA / "key_coded_n3.tab").read_text()
