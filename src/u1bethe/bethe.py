@@ -213,19 +213,26 @@ def _periodic_distance(a, b, period):
 
 
 def _same_root_set(r1, r2, period, tol=1e-6):
-    return all(_periodic_distance(a, b, period) < tol
-               for a, b in zip(r1.roots, r2.roots))
+    """True if each root of r1 matches a distinct root of r2, in any order."""
+    rest = list(r2.roots)
+    for a in r1.roots:
+        hit = next((k for k, b in enumerate(rest)
+                    if _periodic_distance(a, b, period) < tol), None)
+        if hit is None:
+            return False
+        del rest[hit]
+    return not rest
 
 
 _FILTER_OFFSETS = (0.377 + 0.211j, -0.523 + 0.149j, 0.181 - 0.433j)
 
 
-def _is_physical(ctx, rs, vec_tol):
+def _is_physical(ctx, rs):
     """Accept a converged root set only if it produces an eigenvector.
 
     Spurious Bethe-equation solutions (typically runaways standing in for
     roots at infinity) build a vanishing vector; genuine ones reproduce
-    T(lam) v = Lambda v to solver precision.
+    T(lam) v = Lambda v to 1e-8 of max|v|.
     """
     try:
         state = build_bethe_vector(ctx, rs)
@@ -242,7 +249,7 @@ def _is_physical(ctx, rs, vec_tol):
             tv = transfer_matrix(ctx, lam).apply(v)
         except _EVAL_ERRORS:
             continue
-        return bool(np.max(np.abs(tv - lam_pred * v)) <= vec_tol * vmax)
+        return bool(np.max(np.abs(tv - lam_pred * v)) <= 1e-8 * vmax)
     return False
 
 
@@ -264,8 +271,7 @@ def _default_seeds(ctx, n, count, seed):
     return seeds
 
 
-def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42,
-              vec_tol=1e-8):
+def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
     """Newton-solve the Bethe equations in the n-particle sector.
 
     Returns deduplicated converged root sets, each canonically sorted,
@@ -307,7 +313,7 @@ def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42,
         if any(_same_root_set(rs, other, period)
                for other in found if other.n == rs.n):
             continue
-        if not _is_physical(ctx, rs, vec_tol):
+        if not _is_physical(ctx, rs):
             continue
         found.append(rs)
     if not found:

@@ -15,7 +15,7 @@ from .weights import eval_r
 __all__ = [
     "DENSE_LIMIT", "ChainContext", "ChainOperator", "StateVector",
     "lax", "monodromy_element", "transfer_matrix", "reference_state",
-    "vacuum_weight", "spin_z_total", "sector_of_index", "sector_indices",
+    "vacuum_weight", "spin_z_total", "sector_indices",
 ]
 
 DENSE_LIMIT = 4096  # largest N^L whose dense form may be requested
@@ -83,13 +83,8 @@ class StateVector:
     @property
     def sector(self):
         """Particle number n if supported in one sector, else None."""
-        support = np.nonzero(self.amplitudes)[0]
-        if len(support) == 0:
-            return None
-        sectors = {sector_of_index(int(i), self.N, self.L) for i in support}
-        if len(sectors) == 1:
-            return sectors.pop()
-        return None
+        sectors = np.unique(_digit_sums(self.N, self.L)[self.amplitudes != 0])
+        return int(sectors[0]) if len(sectors) == 1 else None
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
@@ -106,24 +101,19 @@ class StateVector:
     __rmul__ = __mul__
 
 
-def sector_of_index(idx, N, L):
-    """Digit sum of `idx` in base N: the particle number of a basis state."""
-    n = 0
+def _digit_sums(N, L):
+    """Base-N digit sum of every basis index: each state's particle number."""
+    idx = np.arange(N ** L)
+    sums = np.zeros(N ** L, dtype=int)
     for _ in range(L):
-        n += idx % N
+        sums += idx % N
         idx //= N
-    return n
+    return sums
 
 
 def sector_indices(N, L, n):
     """Basis indices spanning the n-particle sector."""
-    sums = np.zeros(N ** L, dtype=int)
-    stride = 1
-    for _ in range(L):
-        digits = (np.arange(N ** L) // stride) % N
-        sums += digits
-        stride *= N
-    return np.nonzero(sums == n)[0]
+    return np.nonzero(_digit_sums(N, L) == n)[0]
 
 
 def lax(model, lam, mu_i):
@@ -207,9 +197,7 @@ def vacuum_weight(ctx, lam, a):
 def spin_z_total(N, L):
     """Sum of local S^z = diag(s, s-1, ..., -s) over all sites."""
     s = (N - 1) / 2.0
-    dim = N ** L
-    diag = np.array([L * s - sector_of_index(i, N, L) for i in range(dim)],
-                    dtype=complex)
+    diag = (L * s - _digit_sums(N, L)).astype(complex)
     return ChainOperator(N, L, 0,
                          lambda v: np.einsum("i,i...->i...", diag, v))
 

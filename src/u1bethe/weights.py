@@ -204,23 +204,24 @@ class ModelSpec:
     the exact (lambda, mu) pair, so repeated calls are bit-identical.
     """
 
+    # default inhomogeneity of every chain site
+    regular_point = 0j
+    # sampling windows ((re_lo, re_hi), (im_lo, im_hi)) for spectral
+    # points in checks and for Newton seeds
+    sample_window = ((-1.2, 1.2), (-1.0, 1.0))
+    root_window = ((-1.6, 1.6), (-1.7, 1.7))
+
     def __init__(self, name, N, params, eval_fn, table_data=None,
-                 regular_point=0j,
-                 sample_window=((-1.2, 1.2), (-1.0, 1.0)),
-                 root_window=((-1.6, 1.6), (-1.7, 1.7)),
-                 rapidity_period=None, solver_ok=True):
+                 rapidity_period=None):
         if N < 2:
             raise ParameterDomain(f"N must be >= 2, got {N}")
         self.name = name
         self.N = int(N)
         self.params = dict(params)
         self.table_data = table_data
-        self.regular_point = complex(regular_point)
-        self.sample_window = sample_window
-        self.root_window = root_window
         # weights invariant under lam -> lam + rapidity_period, when set
         self.rapidity_period = rapidity_period
-        self.solver_ok = solver_ok  # False for table models: no free evaluation
+        self.solver_ok = table_data is None  # table models: no free evaluation
         self._eval_fn = eval_fn
         self._cache = {}
         self._cache_cap = max(1, self.CACHE_BYTES // cache_entry_bytes(self.N))
@@ -416,7 +417,7 @@ def permutation_model(N):
     return ModelSpec("custom", N, {"kind": "permutation"}, _eval)
 
 
-def custom_model(N, eval_fn, name="custom", params=None, **kwargs):
+def custom_model(N, eval_fn, name="custom", params=None):
     """Library extension point: `eval_fn(lam, mu)` supplies the weights.
 
     The callback may return a WeightMatrix, a {(a,b,c,d): value} dict, or a
@@ -430,7 +431,7 @@ def custom_model(N, eval_fn, name="custom", params=None, **kwargs):
             return WeightMatrix.from_entries(N, got)
         return WeightMatrix.from_dense(N, got)
 
-    return ModelSpec(name, N, params or {}, _eval, **kwargs)
+    return ModelSpec(name, N, params or {}, _eval)
 
 
 def table_model(records, N=None):
@@ -452,8 +453,7 @@ def table_model(records, N=None):
             raise UnknownGridPoint(
                 f"table model stores no weights at ({lam}, {mu})") from None
 
-    return ModelSpec("table", N, {}, _eval,
-                     table_data=list(records), solver_ok=False)
+    return ModelSpec("table", N, {}, _eval, table_data=list(records))
 
 
 # ----------------------------------------------------------------------

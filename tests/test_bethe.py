@@ -190,6 +190,24 @@ def test_solver_dedup(ctx6):
     assert len(again) == 1
 
 
+def test_solver_dedup_ignores_root_order(ctx3h):
+    # the two roots of this string share their real part only up to
+    # rounding, so the two seeds converge to the same set in opposite
+    # sorted orders
+    seeds = [(-0.04472144937703394 - 0.019259957585867862j,
+              -1.127274844765194 - 1.6322205151785962j),
+             (-0.8626962940461538 + 0.02900866032931975j,
+              -1.2159099063178584 + 0.5854064690307351j)]
+    sets = B.solve_bae(ctx3h, 2, seeds=seeds)
+    assert len(sets) == 1
+    x, y = sets[0].roots
+    period = ctx3h.model.rapidity_period
+    assert B._same_root_set(B.RootSet((x, y)), B.RootSet((y + period, x)),
+                            period)
+    assert not B._same_root_set(B.RootSet((x, y)), B.RootSet((x, x + 0.1)),
+                                period)
+
+
 def test_solver_reports_best_residual(six):
     ctx = C.ChainContext(six, 2)
     with pytest.raises(NoConvergence) as err:

@@ -109,6 +109,28 @@ def test_transfer_commutes_with_spin(ctx3):
     assert np.max(np.abs(t @ sz - sz @ t)) == 0.0
 
 
+@pytest.mark.parametrize("N, L", [(2, 1), (2, 6), (3, 4), (4, 3)])
+def test_sector_bookkeeping_matches_digit_loop(N, L):
+    def digit_sum(i):
+        n = 0
+        for _ in range(L):
+            n, i = n + i % N, i // N
+        return n
+
+    sums = [digit_sum(i) for i in range(N ** L)]
+    s = (N - 1) / 2.0
+    sz = C.spin_z_total(N, L).apply(np.ones(N ** L))
+    assert np.array_equal(sz, [L * s - k for k in sums])
+    for n in range((N - 1) * L + 1):
+        idx = C.sector_indices(N, L, n)
+        assert idx.tolist() == [i for i in range(N ** L) if sums[i] == n]
+        vec = np.zeros(N ** L, dtype=complex)
+        vec[idx] = 1.0
+        assert C.StateVector(N, L, vec).sector == n
+    vec[0] = 1.0
+    assert C.StateVector(N, L, vec).sector is None
+
+
 def test_reference_state_and_vacuum(ctx3):
     ref = C.reference_state(ctx3.N, ctx3.L)
     assert ref.amplitudes[0] == 1.0 and np.count_nonzero(ref.amplitudes) == 1

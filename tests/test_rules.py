@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,42 @@ def test_annihilation_b2_direct_rule(spin1):
     key = ((1, 2, "mu"), (f1, a1 - 1, "lam"))
     want = w.entry(a1 - 1, 2, a1 - 1, 2) / w.entry(f1, 1, f1, 1)
     assert abs(got[key] - want) < 1e-13 * abs(want)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _c(z):
+    return f"{z.real:.17g} {z.imag:.17g}"
+
+
+def _op(op):
+    i, j, tag = op
+    return f"T{i},{j}({tag})"
+
+
+def _rules_text(model):
+    """Every enumerated rule at seeded points: header line, then its terms."""
+    rng = rng_for(f"golden{model.N}")
+    lines = []
+    for family, indices in V.enumerate_rules(model.N):
+        lam, mu = points(model, rng, 2)
+        rule = V.generate_rule(model, family, indices, lam, mu)
+        idx = " ".join(f"{k}={v}" for k, v in indices.items())
+        lines.append(f"{family} {idx} direct={rule.direct} "
+                     f"lam={_c(lam)} mu={_c(mu)} "
+                     f"lhs={_op(rule.lhs[0])}{_op(rule.lhs[1])}")
+        lines += [f"  {_op(t.left)}{_op(t.right)} {_c(t.coeff)}"
+                  for t in rule.terms]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, N", [("spin1", 3), ("spin32", 4)])
+def test_generated_rules_are_pinned(name, N, request):
+    # the data files were written by the earlier per-family implementation
+    # of rule generation; every coefficient must come out bit for bit
+    model = request.getfixturevalue(name)
+    assert _rules_text(model) == (DATA / f"rules_n{N}.txt").read_text()
 
 
 def test_rule_term_determinism(spin1):
