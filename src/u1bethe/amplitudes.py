@@ -12,7 +12,9 @@ with lower indices the output pair.  Root tuples are ordered; positional
 labels (1-based) decide the ordered exchange factor theta_<.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -24,7 +26,8 @@ __all__ = [
     "theta", "theta_less", "projector_delta", "det_guarded",
     "det_D2", "det_D3", "det_D4", "det_D5", "det_D4_cont", "det_D5_cont",
     "P_a", "Pbar_a", "F_offshell", "F2_closed", "H_function",
-    "g_coefficient", "ratio_11_21", "require_distinct",
+    "g_coefficient", "ratio_11_21", "scattering", "exchange_product",
+    "require_distinct",
 ]
 
 MIN_ROOT_SEPARATION = 1e-8
@@ -34,14 +37,14 @@ PIVOT_RTOL = 1e-14  # pivot below PIVOT_RTOL * max|entry| raises Singularity
 
 @dataclass(frozen=True)
 class AmplitudeKey:
-    """Memoization key: function kind, integer indices, ordered arguments."""
+    """Memoization key: function kind, discrete indices, ordered arguments."""
     kind: str
     indices: tuple
     arguments: tuple
 
 
 class AmplitudeCache:
-    """Exact-key memo store; hits reproduce the computation bit-for-bit."""
+    """Exact-key memo of amplitudes and Bethe sub-vectors; hits are exact."""
 
     def __init__(self):
         self._store = {}
@@ -97,14 +100,17 @@ def _div(num, den):
     return num / den
 
 
-def _w(model, x, y):
-    return eval_r(model, x, y)
-
-
 def ratio_11_21(model, x, y):
     """R(x,y)_{1,1}^{1,1} / R(x,y)_{2,1}^{2,1}: the ubiquitous wanted-term ratio."""
-    w = _w(model, x, y)
+    w = eval_r(model, x, y)
     return _div(w.entry(1, 1, 1, 1), w.entry(2, 1, 2, 1))
+
+
+def scattering(model, x, y):
+    """Two-root scattering factor ratio_11_21(x, y) / ratio_11_21(y, x)."""
+    wxy, wyx = eval_r(model, x, y), eval_r(model, y, x)
+    return _div(wxy.entry(1, 1, 1, 1) * wyx.entry(2, 1, 2, 1),
+                wyx.entry(1, 1, 1, 1) * wxy.entry(2, 1, 2, 1))
 
 
 def require_distinct(roots):
@@ -124,7 +130,7 @@ def require_distinct(roots):
 
 def theta(model, lam, mu):
     """Two-particle exchange function; theta(l, m) theta(m, l) = 1."""
-    w = _w(model, lam, mu)
+    w = eval_r(model, lam, mu)
     if model.N == 2:
         return _div(w.entry(2, 2, 2, 2), w.entry(1, 1, 1, 1))
     num = det_guarded([[w.entry(2, 2, 2, 2), w.entry(3, 1, 2, 2)],
@@ -137,6 +143,19 @@ def theta_less(model, lam_i, lam_j, i, j):
     if i < j:
         return theta(model, lam_i, lam_j)
     return 1.0 + 0.0j
+
+
+def exchange_product(model, roots, first, second):
+    """Spectator exchange product over two groups of 1-based root labels:
+    prod over i in `first`, j in `second` of ratio_11_21(lam_i, lam_j)
+    * theta_<(lam_i, lam_j; i, j).
+    """
+    pref = 1.0 + 0.0j
+    for i in first:
+        for j in second:
+            pref *= ratio_11_21(model, roots[i - 1], roots[j - 1])
+            pref *= theta_less(model, roots[i - 1], roots[j - 1], i, j)
+    return pref
 
 
 def projector_delta(i, excluded):
@@ -152,7 +171,7 @@ def det_D2(model, a, e, lam, mu):
     N = model.N
     if not (2 <= a <= N - 1 and 0 <= e <= a - 1):
         raise IndexOutOfRange(f"D2 indices (a={a}, e={e}) invalid for N={N}")
-    w = _w(model, lam, mu)
+    w = eval_r(model, lam, mu)
     num = -det_guarded([[w.entry(a + 1, 1, a, 2), w.entry(a - e, e + 2, a, 2)],
                         [w.entry(a + 1, 1, a + 1, 1),
                          w.entry(a - e, e + 2, a + 1, 1)]])
@@ -163,7 +182,7 @@ def det_D3(model, a, e, lam, mu):
     N = model.N
     if not (2 <= a <= N - 2 and 0 <= e <= a - 1):
         raise IndexOutOfRange(f"D3 indices (a={a}, e={e}) invalid for N={N}")
-    w = _w(model, lam, mu)
+    w = eval_r(model, lam, mu)
     cols = [(a + 2, 1), (a + 1, 2), (a - e, 3 + e)]
     rows = [(a, 3), (a + 1, 2), (a + 2, 1)]
     num = det_guarded([[w.entry(*lo, *up) for lo in cols] for up in rows])
@@ -177,7 +196,7 @@ def det_D4(model, i, b, lam, mu):
     N = model.N
     if not (1 <= b <= i <= N):
         raise IndexOutOfRange(f"D4 indices (i={i}, b={b}) invalid for N={N}")
-    w = _w(model, mu, lam)
+    w = eval_r(model, mu, lam)
     size = i - b + 1
     mat = [[w.entry(i - k, 1 + k, b + l, i + 1 - b - l) for l in range(size)]
            for k in range(size)]
@@ -190,7 +209,7 @@ def det_D5(model, i2, lam, mu):
     i = i2 - 2
     if not (1 <= i and i2 <= N):
         raise IndexOutOfRange(f"D5 index i2={i2} invalid for N={N}")
-    w = _w(model, mu, lam)
+    w = eval_r(model, mu, lam)
     ups = [(2, i + 1)] + [(3 + l, i - l) for l in range(1, i)]
     mat = [[w.entry(i2 - k, 1 + k, *up) for up in ups] for k in range(i)]
     return det_guarded(mat)
@@ -205,7 +224,7 @@ def det_D4_cont(model, b, lam, l1):
     N = model.N
     if not 2 <= b <= N + 1:
         raise IndexOutOfRange(f"D4 continuation index b={b} invalid for N={N}")
-    w = _w(model, l1, lam)
+    w = eval_r(model, l1, lam)
     size = N - b + 1
     mat = [[w.entry(N - k, 2 + k, b + l, N + 2 - b - l) for l in range(size)]
            for k in range(size)]
@@ -217,7 +236,7 @@ def det_D5_cont(model, lam, l1):
     N = model.N
     if N < 3:
         raise IndexOutOfRange("D5 continuation needs N >= 3")
-    w = _w(model, l1, lam)
+    w = eval_r(model, l1, lam)
     size = N - 2
     ups = [(2, N)] + [(3 + l, N - 1 - l) for l in range(1, size)]
     mat = [[w.entry(N - k, 2 + k, *up) for up in ups] for k in range(size)]
@@ -234,10 +253,9 @@ def P_a(model, a, lam, mu):
     if not 1 <= a <= N:
         raise IndexOutOfRange(f"P_a index a={a} outside 1..{N}")
     if a == 1:
-        w = _w(model, mu, lam)
-        return _div(w.entry(1, 1, 1, 1), w.entry(2, 1, 2, 1))
+        return ratio_11_21(model, mu, lam)
     if a == N:
-        w = _w(model, lam, mu)
+        w = eval_r(model, lam, mu)
         return _div(w.entry(N, 2, N, 2), w.entry(N, 1, N, 1))
     return det_D2(model, a, 0, lam, mu)
 
@@ -253,26 +271,26 @@ def Pbar_a(model, a, lam, l1, l2):
         raise IndexOutOfRange("Pbar needs N >= 3")
     if not 1 <= a <= N:
         raise IndexOutOfRange(f"Pbar index a={a} outside 1..{N}")
-    w12 = _w(model, l1, l2)
+    w12 = eval_r(model, l1, l2)
     pref = _div(w12.entry(3, 1, 3, 1), w12.entry(3, 1, 2, 2))
     x = _div(w12.entry(3, 1, 2, 2), w12.entry(3, 1, 3, 1))
     if a == 1:
-        w2l = _w(model, l2, lam)
-        w1l = _w(model, l1, lam)
+        w2l = eval_r(model, l2, lam)
+        w1l = eval_r(model, l1, lam)
         t1 = _div(w2l.entry(1, 2, 2, 1), w2l.entry(2, 1, 2, 1)) \
             * _div(w1l.entry(3, 1, 2, 2), w1l.entry(3, 1, 3, 1))
         t2 = x * _div(w1l.entry(2, 1, 2, 1), w1l.entry(3, 1, 3, 1))
         return pref * (t1 + t2)
     if a == N:
-        wl1 = _w(model, lam, l1)
-        wl2 = _w(model, lam, l2)
+        wl1 = eval_r(model, lam, l1)
+        wl2 = eval_r(model, lam, l2)
         t1 = x * _div(wl1.entry(N, 3, N, 3), wl1.entry(N, 2, N, 2))
         t2 = _div(wl1.entry(N - 1, 3, N, 2), wl1.entry(N, 2, N, 2)) \
             * _div(wl2.entry(N, 1, N - 1, 2), wl2.entry(N, 1, N, 1))
         return pref * (t1 - t2)
     if a == N - 1:
-        wl1 = _w(model, lam, l1)
-        wl2 = _w(model, lam, l2)
+        wl1 = eval_r(model, lam, l1)
+        wl2 = eval_r(model, lam, l2)
         t1 = _div(wl2.entry(N, 1, N - 1, 2), wl2.entry(N, 1, N, 1)) \
             * _div(wl1.entry(N - 1, 3, N, 2), wl1.entry(N, 2, N, 2))
         dnum = det_guarded([[wl1.entry(N, 2, N - 1, 3), wl1.entry(N, 2, N, 2)],
@@ -288,7 +306,7 @@ def Pbar_a(model, a, lam, l1, l2):
             * _div(wl2.entry(N - 1, 1, N - 2, 2), wl2.entry(N - 1, 1, N - 1, 1))
         return pref * (t1 + t2 - t3)
     # 2 <= a <= N - 2
-    wl2 = _w(model, lam, l2)
+    wl2 = eval_r(model, lam, l2)
     t1 = _div(wl2.entry(a + 1, 1, a, 2), wl2.entry(a + 1, 1, a + 1, 1)) \
         * _div(det_D2(model, a + 1, 1, lam, l1),
                det_D2(model, a + 1, 0, lam, l1))
@@ -304,7 +322,6 @@ def Pbar_a(model, a, lam, l1, l2):
 
 def _ordered_splits(labels, first_size):
     """All (first, second) splits of `labels` into increasing tuples."""
-    from itertools import combinations
     labels = tuple(labels)
     rest = set(labels)
     for first in combinations(labels, first_size):
@@ -340,16 +357,15 @@ def F_offshell(model, c, b, a, lam, roots, cache=None):
 
 def _f_compute(model, c, b, a, lam, roots, cache):
     if b == 1:
-        w = _w(model, lam, roots[0])
+        w = eval_r(model, lam, roots[0])
         val = _div(w.entry(a + 1, 1, a, 2), w.entry(a + 1, 1, a + 1, 1))
         return val if c == 0 else -val
     if 0 < c < b:
         head = F_offshell(model, c, c, a + b - c, lam, roots[:c], cache)
         tail = F_offshell(model, 0, b - c, a, lam, roots[c:], cache)
-        pref = 1.0 + 0.0j
-        for i in range(c, b):
-            for j in range(c):
-                pref *= ratio_11_21(model, roots[i], roots[j])
+        pref = math.prod((ratio_11_21(model, roots[i], roots[j])
+                          for i in range(c, b) for j in range(c)),
+                         start=1.0 + 0.0j)
         return head * tail * pref
     if c == 0:
         return _f_zero(model, b, a, lam, roots, cache)
@@ -358,7 +374,7 @@ def _f_compute(model, c, b, a, lam, roots, cache):
 
 def _f_zero(model, b, a, lam, roots, cache):
     """c = 0 recurrence: peel the first root through every spin channel."""
-    w1 = _w(model, lam, roots[0])
+    w1 = eval_r(model, lam, roots[0])
     den = w1.entry(a + b, 1, a + b, 1)
     total = 0.0 + 0.0j
     labels = tuple(range(2, b + 1))  # original labels of roots[1:]
@@ -369,19 +385,13 @@ def _f_zero(model, b, a, lam, roots, cache):
                             tuple(roots[j - 1] for j in grp0), cache)
             fe = F_offshell(model, ebar - 1, ebar - 1, 2, roots[0],
                             tuple(roots[j - 1] for j in grp1), cache)
-            pref = 1.0 + 0.0j
-            for j0 in grp0:
-                for j1 in grp1:
-                    pref *= ratio_11_21(model, roots[j0 - 1], roots[j1 - 1])
-                    pref *= theta_less(model, roots[j0 - 1], roots[j1 - 1],
-                                       j0, j1)
-            total += lead * f0 * fe * pref
+            total += lead * f0 * fe \
+                * exchange_product(model, roots, grp0, grp1)
     return total
 
 
 def _f_full(model, b, a, lam, roots, cache):
     """c = b closure: minus the sum of all lower-c amplitudes, reweighted."""
-    from itertools import combinations
     total = 0.0 + 0.0j
     labels = tuple(range(1, b + 1))
     for fbar in range(b):
@@ -390,15 +400,10 @@ def _f_full(model, b, a, lam, roots, cache):
             args = tuple(roots[j - 1] for j in kept) \
                 + tuple(roots[j - 1] for j in lset)
             val = F_offshell(model, fbar, b, a, lam, args, cache)
-            pref = 1.0 + 0.0j
-            for ls in lset:
-                for i in kept:
-                    wij = _w(model, roots[i - 1], roots[ls - 1])
-                    wji = _w(model, roots[ls - 1], roots[i - 1])
-                    pref *= theta_less(model, roots[i - 1], roots[ls - 1],
-                                       i, ls)
-                    pref *= _div(wij.entry(1, 1, 1, 1), wij.entry(2, 1, 2, 1))
-                    pref *= _div(wji.entry(2, 1, 2, 1), wji.entry(1, 1, 1, 1))
+            pref = math.prod(
+                (theta_less(model, roots[i - 1], roots[ls - 1], i, ls)
+                 * scattering(model, roots[i - 1], roots[ls - 1])
+                 for ls in lset for i in kept), start=1.0 + 0.0j)
             total += val * pref
     return -total
 
@@ -409,9 +414,9 @@ def F2_closed(model, c, a, lam, l1, l2):
     if c == 0:
         if not 1 <= a <= N - 2:
             raise IndexOutOfRange(f"closed 0F2 needs 1 <= a <= {N - 2}")
-        wl1 = _w(model, lam, l1)
-        wl2 = _w(model, lam, l2)
-        w12 = _w(model, l1, l2)
+        wl1 = eval_r(model, lam, l1)
+        wl2 = eval_r(model, lam, l2)
+        w12 = eval_r(model, l1, l2)
         t1 = _div(wl1.entry(a + 1, 1, a, 2), wl1.entry(a + 2, 1, a + 2, 1)) \
             * _div(wl2.entry(a + 2, 1, a + 1, 2), wl2.entry(a + 2, 1, a + 2, 1))
         t2 = _div(wl1.entry(a + 2, 1, a, 3), wl1.entry(a + 2, 1, a + 2, 1)) \
@@ -420,9 +425,9 @@ def F2_closed(model, c, a, lam, l1, l2):
     if c != 2:
         raise IndexOutOfRange("closed forms exist for c in {0, 2}")
     if a == 1:
-        w2l = _w(model, l2, lam)
-        w1l = _w(model, l1, lam)
-        w12 = _w(model, l1, l2)
+        w2l = eval_r(model, l2, lam)
+        w1l = eval_r(model, l1, lam)
+        w12 = eval_r(model, l1, l2)
         t1 = _div(w2l.entry(1, 2, 2, 1), w2l.entry(2, 1, 2, 1)) \
             * det_D2(model, 2, 1, l1, lam)
         t2 = _div(w1l.entry(1, 3, 3, 1), w1l.entry(3, 1, 3, 1)) \
@@ -430,9 +435,9 @@ def F2_closed(model, c, a, lam, l1, l2):
         return t1 - t2
     if not 2 <= a <= N - 2:
         raise IndexOutOfRange(f"closed 2F2 needs a = 1 or 2 <= a <= {N - 2}")
-    wl1 = _w(model, lam, l1)
-    wl2 = _w(model, lam, l2)
-    w12 = _w(model, l1, l2)
+    wl1 = eval_r(model, lam, l1)
+    wl2 = eval_r(model, lam, l2)
+    w12 = eval_r(model, l1, l2)
     dnum = det_guarded([[wl1.entry(a + 2, 1, a, 3), wl1.entry(a + 1, 2, a, 3)],
                         [wl1.entry(a + 2, 1, a + 1, 2),
                          wl1.entry(a + 1, 2, a + 1, 2)]])
@@ -482,9 +487,9 @@ def H_function(model, c, b, a, lam, l1, l2, tag):
     if (c, b) == (0, 1):
         if not 1 <= a <= N - 1:
             raise IndexOutOfRange(f"0H1 needs 1 <= a <= {N - 1}")
-        wl2 = _w(model, lam, l2)
-        wl1 = _w(model, lam, l1)
-        w12 = _w(model, l1, l2)
+        wl2 = eval_r(model, lam, l2)
+        wl1 = eval_r(model, lam, l1)
+        w12 = eval_r(model, l1, l2)
         return _div(wl2.entry(a + 1, 1, a, 2), wl2.entry(a + 1, 1, a + 1, 1)) \
             * _div(wl1.entry(a, 1, a, 1), wl1.entry(a + 1, 1, a + 1, 1)) \
             - _div(wl1.entry(a + 1, 1, a, 2), wl1.entry(a + 1, 1, a + 1, 1)) \
@@ -492,10 +497,10 @@ def H_function(model, c, b, a, lam, l1, l2, tag):
     if (c, b) != (1, 1):
         raise IndexOutOfRange("tag-2 closed form exists for (0,1) and (1,1)")
     if a == 1:
-        w2l = _w(model, l2, lam)
-        w1l = _w(model, l1, lam)
-        w21 = _w(model, l2, l1)
-        w12 = _w(model, l1, l2)
+        w2l = eval_r(model, l2, lam)
+        w1l = eval_r(model, l1, lam)
+        w21 = eval_r(model, l2, l1)
+        w12 = eval_r(model, l1, l2)
         return _div(w2l.entry(1, 2, 2, 1), w2l.entry(2, 1, 2, 1)) \
             * P_a(model, 2, l1, lam) \
             - _div(w1l.entry(1, 2, 2, 1), w1l.entry(2, 1, 2, 1)) \
@@ -504,10 +509,10 @@ def H_function(model, c, b, a, lam, l1, l2, tag):
             * _div(w1l.entry(2, 2, 3, 1), w1l.entry(3, 1, 3, 1))
     if not 2 <= a <= N - 2:
         raise IndexOutOfRange(f"tag-2 1H1 needs a = 1 or 2 <= a <= {N - 2}")
-    wl1 = _w(model, lam, l1)
-    wl2 = _w(model, lam, l2)
-    w21 = _w(model, l2, l1)
-    w12 = _w(model, l1, l2)
+    wl1 = eval_r(model, lam, l1)
+    wl2 = eval_r(model, lam, l2)
+    w21 = eval_r(model, l2, l1)
+    w12 = eval_r(model, l1, l2)
     dnum = det_guarded([[wl1.entry(a + 2, 1, a, 3), wl1.entry(a + 1, 2, a, 3)],
                         [wl1.entry(a + 2, 1, a + 2, 1),
                          wl1.entry(a + 1, 2, a + 2, 1)]])
@@ -546,10 +551,5 @@ def g_coefficient(model, ebar, j_indices, all_roots, cache=None):
     roots = tuple(complex(r) for r in all_roots)
     fval = F_offshell(model, ebar - 1, ebar - 1, 2, roots[0],
                       tuple(roots[j - 1] for j in j_indices), cache)
-    pref = 1.0 + 0.0j
     comp = [k for k in range(2, n + 1) if k not in j_indices]
-    for j in j_indices:
-        for k in comp:
-            pref *= ratio_11_21(model, roots[k - 1], roots[j - 1])
-            pref *= theta_less(model, roots[k - 1], roots[j - 1], k, j)
-    return pref * fval
+    return exchange_product(model, roots, comp, j_indices) * fval

@@ -19,14 +19,13 @@ from .chain import (StateVector, monodromy_element, reference_state,
                     require_nonempty_sector, transfer_matrix, vacuum_weight)
 from .errors import (InvalidOption, NoConvergence, ParameterDomain,
                      Singularity, SingularJacobian, UnknownGridPoint)
-from .weights import eval_r
 
 _EVAL_ERRORS = (Singularity, ParameterDomain, UnknownGridPoint)
 
 __all__ = [
     "RootSet", "BetheState", "OffshellTerm", "build_bethe_vector",
     "bae_residual", "bae_residual_vector", "solve_bae", "eigenvalue",
-    "offshell_expansion", "expansion_for_diagonal",
+    "eigenvector_residual", "offshell_expansion", "expansion_for_diagonal",
 ]
 
 
@@ -58,10 +57,6 @@ class BetheState:
         return self.roots.n
 
 
-def _ratio(model, x, y):
-    return amp.ratio_11_21(model, x, y)
-
-
 def build_bethe_vector(ctx, roots, cache=None, t11_mode="scalar"):
     """Construct the unnormalized n-particle vector on the chain of `ctx`.
 
@@ -77,19 +72,22 @@ def build_bethe_vector(ctx, roots, cache=None, t11_mode="scalar"):
     require_nonempty_sector(ctx.N, ctx.L, len(roots))
     if cache is None:
         cache = amp.AmplitudeCache()
-    memo = {}
-    vec = _phi(ctx, roots, cache, t11_mode, memo)
+    vec = _phi(ctx, roots, cache, t11_mode)
     return BetheState(RootSet(roots), StateVector(ctx.N, ctx.L, vec))
 
 
-def _phi(ctx, roots, cache, t11_mode, memo):
-    n = len(roots)
-    if n == 0:
+def _phi(ctx, roots, cache, t11_mode):
+    """Amplitudes of the vector of `roots`, memoized in `cache`."""
+    if not roots:
         return reference_state(ctx.N, ctx.L).amplitudes
-    got = memo.get(roots)
-    if got is not None:
-        return got
-    model = ctx.model
+    key = amp.AmplitudeKey("phi", (ctx, t11_mode), roots)
+    return cache.get_or_compute(
+        key, lambda: _phi_sum(ctx, roots, cache, t11_mode))
+
+
+def _phi_sum(ctx, roots, cache, t11_mode):
+    """The master recurrence over the spin channel of the first root."""
+    n = len(roots)
     total = np.zeros(ctx.dim, dtype=complex)
     labels = tuple(range(2, n + 1))
     for ebar in range(1, min(n, ctx.N - 1) + 1):
@@ -97,11 +95,11 @@ def _phi(ctx, roots, cache, t11_mode, memo):
         for jgrp in combinations(labels, ebar - 1):
             comp = tuple(k for k in labels if k not in jgrp)
             sub = _phi(ctx, tuple(roots[k - 1] for k in comp),
-                       cache, t11_mode, memo)
+                       cache, t11_mode)
             if ebar == 1:
                 coef = 1.0 + 0.0j
             else:
-                coef = amp.g_coefficient(model, ebar, jgrp, roots, cache)
+                coef = amp.g_coefficient(ctx.model, ebar, jgrp, roots, cache)
             if t11_mode == "scalar":
                 for j in jgrp:
                     coef *= vacuum_weight(ctx, roots[j - 1], 1)
@@ -114,7 +112,7 @@ def _phi(ctx, roots, cache, t11_mode, memo):
                     ref = monodromy_element(ctx, roots[j - 1], 1, 1).apply(ref)
                 vec = sub * ref[0]
             total += coef * top.apply(vec)
-    memo[roots] = total
+    total.flags.writeable = False  # the cache hands it to every caller
     return total
 
 
@@ -137,16 +135,9 @@ def bae_residual(ctx, roots, j):
         raise Singularity(f"w_2 vanishes at root {lj}")
     val = w1 / w2
     for i in range(1, n + 1):
-        if i == j:
-            continue
-        li = roots[i - 1]
-        wji = eval_r(model, lj, li)
-        wij = eval_r(model, li, lj)
-        num = wji.entry(2, 1, 2, 1) * wij.entry(1, 1, 1, 1)
-        den = wji.entry(1, 1, 1, 1) * wij.entry(2, 1, 2, 1)
-        if den == 0:
-            raise Singularity(f"scattering factor singular at ({lj}, {li})")
-        val *= num / den / amp.theta(model, lj, li)
+        if i != j:
+            li = roots[i - 1]
+            val *= amp.scattering(model, li, lj) / amp.theta(model, lj, li)
     return val - 1.0
 
 
@@ -195,13 +186,19 @@ def _newton(ctx, x0, tol, max_iter):
     raise NoConvergence(f"no convergence in {max_iter} iterations", best)
 
 
+# roots this close (in periods) below the strip's upper edge are on it to
+# Newton's accuracy (1e-13 periods at the tests' edge roots), so they are
+# folded onto the lower edge, as exact arithmetic folds the edge itself
+_EDGE_TOL = 1e-9
+
+
 def _fold_period(roots, period):
-    """Translate each root into the fundamental strip of the period."""
+    """Translate each root into the strip [-1/2, 1/2) of the period."""
     if period is None:
         return tuple(roots)
     out = []
     for z in roots:
-        k = np.floor((z / period).real + 0.5)
+        k = np.floor((z / period).real + 0.5 + _EDGE_TOL)
         out.append(z - k * period)
     return tuple(out)
 
@@ -231,25 +228,22 @@ def _is_physical(ctx, rs):
     """Accept a converged root set only if it produces an eigenvector.
 
     Spurious Bethe-equation solutions (typically runaways standing in for
-    roots at infinity) build a vanishing vector; genuine ones reproduce
-    T(lam) v = Lambda v to 1e-8 of max|v|.
+    roots at infinity) build a vanishing vector; genuine ones have an
+    `eigenvector_residual` below 1e-8 at the first usable filter offset.
     """
     try:
         state = build_bethe_vector(ctx, rs)
     except _EVAL_ERRORS:
         return False
-    v = state.vector.amplitudes
-    vmax = float(np.max(np.abs(v)))
-    if vmax < 1e-10:
+    if float(np.max(np.abs(state.vector.amplitudes))) < 1e-10:
         return False
     for off in _FILTER_OFFSETS:
-        lam = ctx.model.regular_point + off
         try:
-            lam_pred = eigenvalue(ctx, lam, rs)
-            tv = transfer_matrix(ctx, lam).apply(v)
+            res = eigenvector_residual(ctx, ctx.model.regular_point + off,
+                                       state)
         except _EVAL_ERRORS:
             continue
-        return bool(np.max(np.abs(tv - lam_pred * v)) <= 1e-8 * vmax)
+        return res <= 1e-8
     return False
 
 
@@ -294,6 +288,7 @@ def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
     found = []
     best = np.inf
     jac_failures = 0
+    period = ctx.model.rapidity_period
     for s in seeds:
         try:
             x = _newton(ctx, s, tol, max_iter)
@@ -305,11 +300,9 @@ def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
             jac_failures += 1
             continue
         try:
-            folded = _fold_period(x, ctx.model.rapidity_period)
-            rs = RootSet(folded).sorted()
+            rs = RootSet(_fold_period(x, period)).sorted()
         except Singularity:
             continue  # coincident roots: not an admissible Bethe state
-        period = ctx.model.rapidity_period
         if any(_same_root_set(rs, other, period)
                for other in found if other.n == rs.n):
             continue
@@ -325,17 +318,35 @@ def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
     return found
 
 
+def _wanted_coefficient(ctx, lam, roots, a):
+    """w_a(lam) prod_i P_a(lam, lam_i), the eigenvalue's term of T_{a,a}."""
+    coef = vacuum_weight(ctx, lam, a)
+    for li in roots:
+        coef *= amp.P_a(ctx.model, a, lam, li)
+    return coef
+
+
 def eigenvalue(ctx, lam, roots):
     """Transfer-matrix eigenvalue predicted for the given root set."""
     if isinstance(roots, RootSet):
         roots = roots.roots
-    total = 0.0 + 0.0j
-    for a in range(1, ctx.N + 1):
-        term = vacuum_weight(ctx, lam, a)
-        for li in roots:
-            term *= amp.P_a(ctx.model, a, lam, li)
-        total += term
-    return total
+    return sum((_wanted_coefficient(ctx, lam, roots, a)
+                for a in range(1, ctx.N + 1)), 0.0 + 0.0j)
+
+
+def eigenvector_residual(ctx, lam, state):
+    """max|T(lam) v - Lambda v| / (max(|Lambda|, 1) max|v|) of a built state.
+
+    Lambda is the eigenvalue predicted from the state's roots.
+    """
+    v = state.vector.amplitudes
+    vmax = float(np.max(np.abs(v)))
+    if vmax == 0:
+        raise Singularity("constructed Bethe vector vanishes")
+    lam_pred = eigenvalue(ctx, lam, state.roots)
+    tv = transfer_matrix(ctx, lam).apply(v)
+    scale = max(abs(lam_pred), 1.0) * vmax
+    return float(np.max(np.abs(tv - lam_pred * v))) / scale
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +370,7 @@ class OffshellTerm:
         return self.coefficient * self.vector
 
 
-def expansion_for_diagonal(ctx, lam, roots, a, cache=None, _memo=None):
+def expansion_for_diagonal(ctx, lam, roots, a, cache=None):
     """Predicted decomposition of T_{a,a}(lambda) |Phi_n>.
 
     Returns (wanted, terms): `wanted` is the part proportional to the
@@ -374,12 +385,9 @@ def expansion_for_diagonal(ctx, lam, roots, a, cache=None, _memo=None):
     model = ctx.model
     N = ctx.N
     n = len(roots)
-    memo = _memo if _memo is not None else {}
-    phi_full = _phi(ctx, roots, cache, "scalar", memo)
-    coef = vacuum_weight(ctx, lam, a)
-    for li in roots:
-        coef *= amp.P_a(model, a, lam, li)
-    wanted = StateVector(ctx.N, ctx.L, coef * phi_full)
+    phi_full = _phi(ctx, roots, cache, "scalar")
+    wanted = StateVector(ctx.N, ctx.L,
+                         _wanted_coefficient(ctx, lam, roots, a) * phi_full)
     terms = []
     labels = tuple(range(1, n + 1))
     for t in range(1, n + 1):
@@ -395,22 +403,16 @@ def expansion_for_diagonal(ctx, lam, roots, a, cache=None, _memo=None):
                                           fargs, cache)
                     for jk in w1grp:
                         coef *= vacuum_weight(ctx, roots[jk - 1], 1)
-                        for i in spect:
-                            coef *= _ratio(model, roots[i - 1], roots[jk - 1])
-                            coef *= amp.theta_less(model, roots[i - 1],
-                                                   roots[jk - 1], i, jk)
                     for jl in w2grp:
                         coef *= vacuum_weight(ctx, roots[jl - 1], 2)
-                        for i in spect:
-                            coef *= _ratio(model, roots[jl - 1], roots[i - 1])
-                            coef *= amp.theta_less(model, roots[jl - 1],
-                                                   roots[i - 1], jl, i)
+                    coef *= amp.exchange_product(model, roots, spect, w1grp)
+                    coef *= amp.exchange_product(model, roots, w2grp, spect)
                     for jk in w1grp:
                         for jl in w2grp:
                             coef *= amp.theta_less(model, roots[jl - 1],
                                                    roots[jk - 1], jl, jk)
                     sub = _phi(ctx, tuple(roots[k - 1] for k in spect),
-                               cache, "scalar", memo)
+                               cache, "scalar")
                     op = monodromy_element(ctx, lam, a - p, a + t - p)
                     vec = StateVector(ctx.N, ctx.L, op.apply(sub))
                     terms.append(OffshellTerm(
@@ -430,12 +432,10 @@ def offshell_expansion(ctx, lam, roots, cache=None):
         roots = roots.roots
     if cache is None:
         cache = amp.AmplitudeCache()
-    memo = {}
     wanted_total = None
     terms = []
     for a in range(1, ctx.N + 1):
-        wanted, tpart = expansion_for_diagonal(ctx, lam, roots, a,
-                                               cache, _memo=memo)
+        wanted, tpart = expansion_for_diagonal(ctx, lam, roots, a, cache)
         wanted_total = wanted if wanted_total is None else wanted_total + wanted
         terms.extend(tpart)
     return wanted_total, terms

@@ -13,12 +13,17 @@ from .errors import DimensionTooLarge, EmptySector
 from .weights import eval_r
 
 __all__ = [
-    "DENSE_LIMIT", "ChainContext", "ChainOperator", "StateVector",
-    "lax", "monodromy_element", "transfer_matrix", "reference_state",
-    "vacuum_weight", "spin_z_total", "sector_indices",
+    "DENSE_LIMIT", "MAX_CHAIN_DIM", "ChainContext", "ChainOperator",
+    "StateVector", "lax", "monodromy_element", "transfer_matrix",
+    "reference_state", "vacuum_weight", "spin_z_total", "sector_indices",
 ]
 
 DENSE_LIMIT = 4096  # largest N^L whose dense form may be requested
+
+# Largest N^L a ChainContext accepts: an operator application holds a few
+# arrays of N^(L+1) complex numbers, a few hundred MB at 2^20 states for
+# N <= 5.  The tests and the benchmark go up to 2^14 states.
+MAX_CHAIN_DIM = 2 ** 20
 
 
 class ChainContext:
@@ -29,6 +34,11 @@ class ChainContext:
     def __init__(self, model, L, inhomogeneities=None):
         if L < 1:
             raise ValueError(f"chain length must be >= 1, got {L}")
+        # N >= 2: an L above the cap's bit length exceeds it; no N^L needed
+        if L > MAX_CHAIN_DIM.bit_length() or model.N ** L > MAX_CHAIN_DIM:
+            raise DimensionTooLarge(
+                f"a chain of {model.N}^{L} states exceeds the limit of "
+                f"{MAX_CHAIN_DIM} states")
         self.model = model
         self.L = int(L)
         if inhomogeneities is None:

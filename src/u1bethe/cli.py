@@ -284,9 +284,10 @@ def cmd_solve(model, ctx, opts):
                             n_seeds=opts.seeds, seed=opts.seed,
                             max_iter=opts.max_iter)
     except NoConvergence as err:
+        # finding no state is a failed check, not a vacuous pass
         results.append({"roots": None, "note": "no roots found",
                         "best_residual": float(err.best_residual or 0.0)})
-        return results, [], True, csv_rows
+        return results, [], False, csv_rows
     passed = True
     for rs in sets:
         bres = max(abs(bt.bae_residual(ctx, rs.roots, j))
@@ -295,7 +296,8 @@ def cmd_solve(model, ctx, opts):
                   "bae_residual": float(bres),
                   "eigenvalues": [bt.eigenvalue(ctx, lam, rs)
                                   for lam in lams]}
-        vec_res = [verify.eigenstate_residual(ctx, lam, rs) for lam in lams]
+        state = bt.build_bethe_vector(ctx, rs)
+        vec_res = [bt.eigenvector_residual(ctx, lam, state) for lam in lams]
         record["eigenstate_residuals"] = vec_res
         residuals.extend(vec_res)
         if any(r > opts.match_tol for r in vec_res):
@@ -335,13 +337,11 @@ def cmd_offshell(model, ctx, opts):
     state = bt.build_bethe_vector(ctx, roots, cache)
     results = []
     residuals = []
-    memo = {}
     # the full T(lam) expansion is the sum of the per-diagonal ones
     wanted_total = np.zeros(ctx.dim, dtype=complex)
     unwanted = np.zeros(ctx.dim, dtype=complex)
     for a in range(1, ctx.N + 1):
-        wanted, terms = bt.expansion_for_diagonal(ctx, lam, roots, a, cache,
-                                                  _memo=memo)
+        wanted, terms = bt.expansion_for_diagonal(ctx, lam, roots, a, cache)
         wanted_total += wanted.amplitudes
         pred = wanted.amplitudes.copy()
         for t in terms:

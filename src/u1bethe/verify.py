@@ -62,16 +62,9 @@ def exact_spectrum(ctx, lam):
 
 
 def eigenstate_residual(ctx, lam, roots, cache=None):
-    """|| T(lam) v - Lambda v ||_max / (max(|Lambda|, 1) || v ||_max)."""
-    state = bt.build_bethe_vector(ctx, roots, cache)
-    v = state.vector.amplitudes
-    lam_pred = bt.eigenvalue(ctx, lam, roots)
-    tv = transfer_matrix(ctx, lam).apply(v)
-    vmax = float(np.max(np.abs(v)))
-    if vmax == 0:
-        raise Singularity("constructed Bethe vector vanishes")
-    scale = max(abs(lam_pred), 1.0) * vmax
-    return float(np.max(np.abs(tv - lam_pred * v))) / scale
+    """`bethe.eigenvector_residual` of the Bethe vector built from `roots`."""
+    return bt.eigenvector_residual(ctx, lam,
+                                   bt.build_bethe_vector(ctx, roots, cache))
 
 
 def overlap_pairing(ctx, lam1, lam2, n):
@@ -865,10 +858,6 @@ def amplitude_property_suite(model, samples=50, tol=1e-9, seed=42):
 # appendix operator identities on the two-particle state
 # ----------------------------------------------------------------------
 
-def _phi2_vec(ctx, l2, l3, cache):
-    return bt.build_bethe_vector(ctx, (l2, l3), cache).vector.amplitudes
-
-
 def appendix_operator_checks(ctx, lam, l2, l3, cache=None, tol=1e-9):
     """Vector-level checks of the annihilator action on the 2-root state.
 
@@ -881,7 +870,7 @@ def appendix_operator_checks(ctx, lam, l2, l3, cache=None, tol=1e-9):
     N = ctx.N
     if cache is None:
         cache = amp.AmplitudeCache()
-    phi2 = _phi2_vec(ctx, l2, l3, cache)
+    phi2 = bt.build_bethe_vector(ctx, (l2, l3), cache).vector.amplitudes
     ref = reference_state(N, ctx.L).amplitudes
     reports = []
 

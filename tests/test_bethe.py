@@ -208,6 +208,20 @@ def test_solver_dedup_ignores_root_order(ctx3h):
                                 period)
 
 
+def test_strip_edge_is_canonical(ctx3h):
+    # a root on the strip edge Im = pi/2 is folded onto the lower edge from
+    # either side, as exact arithmetic folds Im = pi/2 itself
+    period = ctx3h.model.rapidity_period
+    up, = B._fold_period((0.3 + 1j * (np.pi / 2 - 1e-12),), period)
+    down, = B._fold_period((0.3 - 1j * (np.pi / 2 - 1e-12),), period)
+    assert up.imag < 0 and down.imag < 0
+    assert abs(up - down) < 2.5e-12    # their distance modulo the period
+    # the default seeds reach this chain's edge roots from both sides
+    edge = [z.imag for rs in B.solve_bae(ctx3h, 2, n_seeds=40)
+            for z in rs.roots if abs(abs(z.imag) - np.pi / 2) < 1e-9]
+    assert edge and all(y < 0 for y in edge)
+
+
 def test_solver_reports_best_residual(six):
     ctx = C.ChainContext(six, 2)
     with pytest.raises(NoConvergence) as err:
@@ -318,11 +332,9 @@ def _per_a_completeness(model, L, roots, lam):
     ctx = C.ChainContext(model, L)
     cache = A.AmplitudeCache()
     st = B.build_bethe_vector(ctx, roots, cache)
-    memo = {}
     worst = 0.0
     for a in range(1, model.N + 1):
-        wanted, terms = B.expansion_for_diagonal(ctx, lam, roots, a, cache,
-                                                 _memo=memo)
+        wanted, terms = B.expansion_for_diagonal(ctx, lam, roots, a, cache)
         pred = wanted.amplitudes.copy()
         for t in terms:
             pred += t.contribution.amplitudes

@@ -255,3 +255,12 @@ def test_matrix_free_above_dense_limit(six):
     assert np.all(op.apply(ref) == 0)       # triangularity, matrix-free path
     with pytest.raises(DimensionTooLarge):
         op.to_matrix()
+
+
+def test_chain_dimension_is_capped(six, spin1):
+    # rejected before any per-site tuple or basis-sized array exists
+    assert C.ChainContext(six, 14).dim == 2 ** 14 <= C.MAX_CHAIN_DIM
+    for model, L in ((six, 40), (spin1, 40), (six, 21), (spin1, 13)):
+        with pytest.raises(DimensionTooLarge):
+            C.ChainContext(model, L)
+    assert C.ChainContext(six, 20).dim == C.MAX_CHAIN_DIM

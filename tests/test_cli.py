@@ -2,10 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from u1bethe import cli
 from u1bethe import weights as W
-from u1bethe.errors import ConfigError
+from u1bethe.errors import ConfigError, U1BetheError
 
 from conftest import ETA
 
@@ -121,6 +123,25 @@ def test_solve_rejects_empty_options(six_cfg, args, capsys):
     assert "InvalidOption" in capsys.readouterr().err
 
 
+def test_solve_without_roots_fails(six_cfg, tmp_path):
+    # one seed with one Newton step cannot converge; no state is no pass
+    out = tmp_path / "s.json"
+    assert run(["solve", "--config", six_cfg, "--seeds", "1",
+                "--max-iter", "1", "--out", str(out), "--quiet"]) == 1
+    text = out.read_text()
+    assert '"note": "no roots found"' in text
+    assert '"best_residual"' in text and '"pass": false' in text
+
+
+def test_chain_size_cap_exits_2(tmp_path, capsys):
+    # check-r never touches the chain, so no commit allocates 2^40 states
+    cfg = write(tmp_path / "huge.cfg",
+                "model = six_vertex\neta = 0.4375\nL = 40\n")
+    assert run(["check-r", "--config", cfg, "--samples", "1",
+                "--quiet"]) == 2
+    assert "DimensionTooLarge" in capsys.readouterr().err
+
+
 def test_csv_requires_spectrum(six_cfg, tmp_path, capsys):
     assert run(["solve", "--config", six_cfg, "--n", "1",
                 "--csv", str(tmp_path / "x.csv"), "--quiet"]) == 2
@@ -184,6 +205,51 @@ def test_config_diagnostics(tmp_path, capsys):
         capsys.readouterr()
         assert run(["check-r", "--config", cfg, "--quiet"]) == 2
         assert "anisotropy" in capsys.readouterr().err
+
+
+_ANY_VALUE = st.one_of(
+    st.sampled_from(("nan", "inf", "-inf", "[]", "[nan]", "[inf, 0]", "[,]",
+                     "[1, 2", "abc", "1e400", "0", "-1", "1+2j", "custom")),
+    st.integers(-10 ** 40, 10 ** 40).map(str),
+    st.floats().map(repr),
+    st.complex_numbers().map(str),
+    st.lists(st.complex_numbers(), max_size=4).map(
+        lambda zs: "[" + ", ".join(map(str, zs)) + "]"),
+    st.text(max_size=12))
+# usual values for each key, so that most configs get past the first error
+_USUAL_VALUES = {
+    "model": ("six_vertex", "higher_spin_xxz"),
+    "N": ("2", "3", "4"),
+    "eta": ("0.4375", "0.3+0.1j"),
+    "L": ("1", "3", "40"),
+    "inhomogeneities": ("[0.0, 0.05+0.02j, -0.1]", "[0.1]"),
+}
+
+
+@st.composite
+def _config_lines(draw):
+    """One line per key; now and then a key is missing or repeated."""
+    lines = [(key, draw(st.sampled_from(usual) if draw(st.integers(0, 3))
+                        else _ANY_VALUE))
+             for key, usual in _USUAL_VALUES.items()
+             if draw(st.integers(0, 9))]
+    if lines and not draw(st.integers(0, 9)):
+        lines.append(draw(st.sampled_from(lines)))
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_lines())
+def test_config_front_end_raises_only_typed_errors(tmp_path_factory, items):
+    # no weight is evaluated on this path
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in items),
+                    encoding="utf-8")
+    try:
+        raw, lines = cli.parse_config(str(path))
+        cli.build_context(cli.build_model(raw, lines), raw, lines)
+    except U1BetheError:
+        pass
 
 
 def test_custom_model_rejected_in_config(tmp_path, capsys):
