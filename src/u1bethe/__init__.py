@@ -11,7 +11,7 @@ oracles.
 from .amplitudes import (AmplitudeCache, AmplitudeKey, F2_closed, F_offshell,
                          H_function, P_a, Pbar_a, det_D2, det_D3, det_D4,
                          det_D4_cont, det_D5, det_D5_cont, g_coefficient,
-                         projector_delta, theta, theta_less)
+                         theta, theta_less)
 from .bethe import (BetheState, OffshellTerm, RootSet, bae_residual,
                     build_bethe_vector, eigenvalue, expansion_for_diagonal,
                     offshell_expansion, solve_bae)

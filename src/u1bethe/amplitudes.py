@@ -23,7 +23,7 @@ from .weights import eval_r
 
 __all__ = [
     "AmplitudeKey", "AmplitudeCache", "MIN_ROOT_SEPARATION",
-    "theta", "theta_less", "projector_delta", "det_guarded",
+    "theta", "theta_less", "det_guarded",
     "det_D2", "det_D3", "det_D4", "det_D5", "det_D4_cont", "det_D5_cont",
     "P_a", "Pbar_a", "F_offshell", "F2_closed", "H_function",
     "g_coefficient", "ratio_11_21", "scattering", "exchange_product",
@@ -156,11 +156,6 @@ def exchange_product(model, roots, first, second):
             pref *= ratio_11_21(model, roots[i - 1], roots[j - 1])
             pref *= theta_less(model, roots[i - 1], roots[j - 1], i, j)
     return pref
-
-
-def projector_delta(i, excluded):
-    """Discrete projector: 0 iff i is among the excluded indices."""
-    return 0 if i in set(excluded) else 1
 
 
 # ----------------------------------------------------------------------

@@ -57,35 +57,27 @@ class BetheState:
         return self.roots.n
 
 
-def build_bethe_vector(ctx, roots, cache=None, t11_mode="scalar"):
-    """Construct the unnormalized n-particle vector on the chain of `ctx`.
-
-    `t11_mode` selects how the trailing diagonal fields of the recurrence
-    act on the reference state: "scalar" uses the vacuum weights w_1,
-    "operator" applies the actual chain operators; both must agree.
-    """
+def build_bethe_vector(ctx, roots, cache=None):
+    """Construct the unnormalized n-particle vector on the chain of `ctx`."""
     if isinstance(roots, RootSet):
         roots = roots.roots
     roots = amp.require_distinct(roots)
-    if t11_mode not in ("scalar", "operator"):
-        raise ValueError(f"unknown t11_mode {t11_mode!r}")
     require_nonempty_sector(ctx.N, ctx.L, len(roots))
     if cache is None:
         cache = amp.AmplitudeCache()
-    vec = _phi(ctx, roots, cache, t11_mode)
+    vec = _phi(ctx, roots, cache)
     return BetheState(RootSet(roots), StateVector(ctx.N, ctx.L, vec))
 
 
-def _phi(ctx, roots, cache, t11_mode):
+def _phi(ctx, roots, cache):
     """Amplitudes of the vector of `roots`, memoized in `cache`."""
     if not roots:
         return reference_state(ctx.N, ctx.L).amplitudes
-    key = amp.AmplitudeKey("phi", (ctx, t11_mode), roots)
-    return cache.get_or_compute(
-        key, lambda: _phi_sum(ctx, roots, cache, t11_mode))
+    key = amp.AmplitudeKey("phi", (ctx,), roots)
+    return cache.get_or_compute(key, lambda: _phi_sum(ctx, roots, cache))
 
 
-def _phi_sum(ctx, roots, cache, t11_mode):
+def _phi_sum(ctx, roots, cache):
     """The master recurrence over the spin channel of the first root."""
     n = len(roots)
     total = np.zeros(ctx.dim, dtype=complex)
@@ -94,24 +86,15 @@ def _phi_sum(ctx, roots, cache, t11_mode):
         top = monodromy_element(ctx, roots[0], 1, 1 + ebar)
         for jgrp in combinations(labels, ebar - 1):
             comp = tuple(k for k in labels if k not in jgrp)
-            sub = _phi(ctx, tuple(roots[k - 1] for k in comp),
-                       cache, t11_mode)
+            sub = _phi(ctx, tuple(roots[k - 1] for k in comp), cache)
             if ebar == 1:
                 coef = 1.0 + 0.0j
             else:
                 coef = amp.g_coefficient(ctx.model, ebar, jgrp, roots, cache)
-            if t11_mode == "scalar":
-                for j in jgrp:
-                    coef *= vacuum_weight(ctx, roots[j - 1], 1)
-                vec = sub
-            else:
-                # trailing T_{1,1} factors act on |0> first; scale the
-                # reference amplitude they produce into the recursion
-                ref = reference_state(ctx.N, ctx.L).amplitudes
-                for j in jgrp:
-                    ref = monodromy_element(ctx, roots[j - 1], 1, 1).apply(ref)
-                vec = sub * ref[0]
-            total += coef * top.apply(vec)
+            # the trailing T_{1,1} fields act on |0> as the scalars w_1
+            for j in jgrp:
+                coef *= vacuum_weight(ctx, roots[j - 1], 1)
+            total += coef * top.apply(sub)
     total.flags.writeable = False  # the cache hands it to every caller
     return total
 
@@ -385,7 +368,7 @@ def expansion_for_diagonal(ctx, lam, roots, a, cache=None):
     model = ctx.model
     N = ctx.N
     n = len(roots)
-    phi_full = _phi(ctx, roots, cache, "scalar")
+    phi_full = _phi(ctx, roots, cache)
     wanted = StateVector(ctx.N, ctx.L,
                          _wanted_coefficient(ctx, lam, roots, a) * phi_full)
     terms = []
@@ -411,8 +394,7 @@ def expansion_for_diagonal(ctx, lam, roots, a, cache=None):
                         for jl in w2grp:
                             coef *= amp.theta_less(model, roots[jl - 1],
                                                    roots[jk - 1], jl, jk)
-                    sub = _phi(ctx, tuple(roots[k - 1] for k in spect),
-                               cache, "scalar")
+                    sub = _phi(ctx, tuple(roots[k - 1] for k in spect), cache)
                     op = monodromy_element(ctx, lam, a - p, a + t - p)
                     vec = StateVector(ctx.N, ctx.L, op.apply(sub))
                     terms.append(OffshellTerm(

@@ -10,7 +10,7 @@ S^z eigenvalue = L s - n with s = (N - 1)/2.
 import numpy as np
 
 from .errors import DimensionTooLarge, EmptySector
-from .weights import eval_r
+from .weights import _finite, eval_r
 
 __all__ = [
     "DENSE_LIMIT", "MAX_CHAIN_DIM", "ChainContext", "ChainOperator",
@@ -43,7 +43,8 @@ class ChainContext:
         self.L = int(L)
         if inhomogeneities is None:
             inhomogeneities = (model.regular_point,) * L
-        inhomogeneities = tuple(complex(m) for m in inhomogeneities)
+        inhomogeneities = tuple(_finite(m, "inhomogeneity")
+                                for m in inhomogeneities)
         if len(inhomogeneities) != L:
             raise ValueError(
                 f"need {L} inhomogeneities, got {len(inhomogeneities)}")

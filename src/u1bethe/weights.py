@@ -19,13 +19,14 @@ Built-in families:
 
 import cmath
 import functools
+import math
 
 import numpy as np
 
 from .errors import IndexOutOfRange, ParameterDomain, UnknownGridPoint
 
 __all__ = [
-    "ModelSpec", "WeightMatrix", "IceReport",
+    "ModelSpec", "WeightMatrix",
     "six_vertex", "higher_spin_xxz", "table_model", "custom_model",
     "permutation_model", "eval_r", "check_ice_rule", "check_yang_baxter",
     "check_unitarity", "check_regularity", "charge_block",
@@ -41,12 +42,18 @@ def _finite(z, what="spectral parameter"):
 
 
 def _anisotropy(eta):
-    """`eta` as a complex number; rejects eta in i*pi*Z, where sinh(eta) = 0."""
+    """`eta` as a complex number, with sinh(eta) nonzero and finite."""
     eta = _finite(eta, "eta")
     nearest = 1j * np.pi * round(eta.imag / np.pi)
     if abs(eta - nearest) < 1e-12:
         raise ParameterDomain(
             f"anisotropy eta = {eta!r} is degenerate: sinh(eta) = 0")
+    try:
+        cmath.sinh(eta)
+    except OverflowError:
+        raise ParameterDomain(
+            f"anisotropy eta = {eta!r} is too large: sinh(eta) overflows"
+        ) from None
     return eta
 
 
@@ -92,17 +99,15 @@ class WeightMatrix:
 
     Entries are addressed 1-based as R_{a,b}^{c,d} with lower indices the
     output (row) pair and upper indices the input (column) pair.  Entries
-    off the ice rule exist only in matrices built for validation
-    (`from_dense(strict=False)`, `with_injected_entry`) and are kept aside.
+    off the ice rule are structurally zero and cannot be stored.
     """
 
-    __slots__ = ("N", "_lay", "_vals", "_extra", "_dense")
+    __slots__ = ("N", "_lay", "_vals", "_dense")
 
-    def __init__(self, N, values, extra=None):
+    def __init__(self, N, values):
         self.N = int(N)
         self._lay = _layout(self.N)
         self._vals = values
-        self._extra = dict(extra) if extra else {}
         self._dense = None
 
     @classmethod
@@ -118,26 +123,22 @@ class WeightMatrix:
         return w
 
     @classmethod
-    def from_dense(cls, N, arr, strict=True):
+    def from_dense(cls, N, arr):
         """Build from an N^2 x N^2 array indexed [(a,b), (c,d)] row-major.
 
-        With strict=True any nonzero entry off the ice blocks raises; with
-        strict=False such entries are kept aside so check_ice_rule can
-        report them.
+        Raises ParameterDomain if any entry off the ice blocks is nonzero.
         """
         arr = np.asarray(arr, dtype=complex)
+        if arr.shape != (N * N, N * N):
+            raise ParameterDomain(
+                f"dense weights of N = {N} need shape {(N * N, N * N)}, "
+                f"got {arr.shape}")
+        stray = check_ice_rule(arr)
+        if stray:
+            raise ParameterDomain(
+                "non-ice entry ({},{})->({},{}) = {}".format(*stray[0]))
         lay = _layout(N)
-        w = cls(N, arr[lay.rows, lay.cols])
-        off = arr.copy()
-        off[lay.rows, lay.cols] = 0
-        for r, c in np.argwhere(off != 0).tolist():
-            key = (r // N + 1, r % N + 1, c // N + 1, c % N + 1)
-            v = arr[r, c]
-            if strict:
-                raise ParameterDomain(
-                    "non-ice entry ({},{})->({},{}) = {}".format(*key, v))
-            w._extra[key] = v
-        return w
+        return cls(N, arr[lay.rows, lay.cols])
 
     def _check_range(self, *idx):
         for i in idx:
@@ -150,7 +151,7 @@ class WeightMatrix:
         if k is not None:  # ice keys are in range
             return self._vals[k]
         self._check_range(a, b, c, d)
-        return self._extra.get((a, b, c, d), 0.0 + 0.0j)
+        return 0.0 + 0.0j
 
     def set_entry(self, a, b, c, d, value):
         self._check_range(a, b, c, d)
@@ -160,25 +161,10 @@ class WeightMatrix:
         self._vals[k] = complex(value)
         self._dense = None
 
-    def with_injected_entry(self, a, b, c, d, value):
-        """Copy with one raw entry forced in, ice rule not enforced.
-
-        Validation hook: lets tests hand check_ice_rule a broken matrix.
-        """
-        out = WeightMatrix(self.N, self._vals.copy(), self._extra)
-        if a + b == c + d:
-            out.set_entry(a, b, c, d, value)
-        else:
-            out._check_range(a, b, c, d)
-            out._extra[(a, b, c, d)] = complex(value)
-        return out
-
     def items(self):
-        """Yield every stored (a, b, c, d, value), ice blocks first."""
+        """Yield every ice entry (a, b, c, d, value) in storage order."""
         for key, v in zip(self._lay.keys, self._vals):
             yield (*key, v)
-        for (a, b, c, d), v in self._extra.items():
-            yield a, b, c, d, v
 
     def dense(self):
         """N^2 x N^2 array with rows (a,b) and columns (c,d), row-major."""
@@ -186,8 +172,6 @@ class WeightMatrix:
             N = self.N
             out = np.zeros((N * N, N * N), dtype=complex)
             out[self._lay.rows, self._lay.cols] = self._vals
-            for (a, b, c, d), v in self._extra.items():
-                out[(a - 1) * N + (b - 1), (c - 1) * N + (d - 1)] = v
             self._dense = out
         return self._dense
 
@@ -264,6 +248,8 @@ def _six_vertex_weights(eta, c, u):
     """Flat six-vertex weights at u; `c` is sinh(eta)."""
     a = np.sinh(u + eta)
     b = np.sinh(u)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise ParameterDomain(f"six_vertex weights overflow at u = {u}")
     if abs(a) < 1e-12 * max(1.0, abs(b), abs(c)):
         raise ParameterDomain(f"six_vertex weights have a pole at u = {u}")
     b, c = b / a, c / a
@@ -366,6 +352,9 @@ def _solve_intertwiner(N, eta, w):
     idx = lay.solver_keys  # 0-based ice keys in lexicographic order
     for offsets in _INTERTWINER_OFFSETS:
         gram = _intertwiner_normal_matrix(N, eta, w, offsets, idx)
+        if not np.isfinite(gram).all():
+            raise ParameterDomain(
+                f"higher-spin weights overflow at u = {w} (eta = {eta})")
         evals, evecs = np.linalg.eigh(gram)
         top = evals[-1]
         if top <= 0:
@@ -474,9 +463,12 @@ def load_table_file(path):
             if len(parts) != 10:
                 raise ParameterDomain(
                     f"{path}:{ln}: expected 10 fields, got {len(parts)}")
-            lr, li, mr, mi = (float(p) for p in parts[:4])
-            a, b, c, d = (int(p) for p in parts[4:8])
-            wr, wi = float(parts[8]), float(parts[9])
+            try:
+                lr, li, mr, mi = (float(p) for p in parts[:4])
+                a, b, c, d = (int(p) for p in parts[4:8])
+                wr, wi = float(parts[8]), float(parts[9])
+            except ValueError as err:
+                raise ParameterDomain(f"{path}:{ln}: {err}") from None
             if a + b != c + d:
                 raise ParameterDomain(
                     f"{path}:{ln}: entry ({a},{b})->({c},{d}) violates the ice rule")
@@ -486,6 +478,8 @@ def load_table_file(path):
                 order.append(key)
             groups[key][(a, b, c, d)] = complex(wr, wi)
             ns.update((a, b, c, d))
+    if not ns:
+        raise ParameterDomain(f"{path}:1: table file holds no weight records")
     N = max(ns)
     records = [(l, m, WeightMatrix.from_entries(N, groups[(l, m)]))
                for (l, m) in order]
@@ -505,32 +499,19 @@ def write_table_file(path, records):
 # defining-relation checkers
 # ----------------------------------------------------------------------
 
-class IceReport:
-    """Result of an ice-rule scan: pass flag plus offending indices."""
+def check_ice_rule(arr):
+    """Nonzero entries off a + b = c + d of a dense N^2 x N^2 weight array.
 
-    def __init__(self, ok, violations, checked):
-        self.ok = ok
-        self.violations = violations
-        self.checked = checked
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return f"IceReport(ok, {self.checked} entries)"
-        return f"IceReport(FAIL at {self.violations})"
-
-
-def check_ice_rule(w):
-    """Pass iff no stored entry violates a + b = c + d."""
-    violations = []
-    checked = 0
-    for a, b, c, d, v in w.items():
-        checked += 1
-        if a + b != c + d and v != 0:
-            violations.append((a, b, c, d))
-    return IceReport(not violations, violations, checked)
+    Returns the offending (a, b, c, d, value), 1-based, in row-major
+    order; an empty list means the ice rule holds.
+    """
+    arr = np.asarray(arr, dtype=complex)
+    N = math.isqrt(arr.shape[0])
+    lay = _layout(N)
+    off = arr.copy()
+    off[lay.rows, lay.cols] = 0
+    return [(r // N + 1, r % N + 1, c // N + 1, c % N + 1, complex(arr[r, c]))
+            for r, c in np.argwhere(off != 0).tolist()]
 
 
 def _dense_permutation(N):

@@ -46,12 +46,6 @@ def test_theta_less_branches(spin1):
     assert abs(lhs - A.theta(spin1, li, lj)) < 1e-14 * abs(lhs)
 
 
-def test_projector_delta():
-    assert A.projector_delta(1, {1}) == 0
-    assert A.projector_delta(2, {1, 3}) == 1
-    assert A.projector_delta(5, {4, 5}) == 0
-
-
 # ----------------------------------------------------------------------
 # guarded determinants and the determinant families
 # ----------------------------------------------------------------------

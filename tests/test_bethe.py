@@ -59,14 +59,6 @@ def test_two_particle_vector_structure(ctx3, spin1):
         1.0, np.max(np.abs(want)))
 
 
-def test_t11_operator_and_scalar_paths_agree(ctx3):
-    for n in (2, 3):
-        roots = ROOTS[:n]
-        a = B.build_bethe_vector(ctx3, roots, t11_mode="scalar")
-        b = B.build_bethe_vector(ctx3, roots, t11_mode="operator")
-        assert np.array_equal(a.vector.amplitudes, b.vector.amplitudes)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_vector_sector_support_exact(ctx3h, n):
     st = B.build_bethe_vector(ctx3h, ROOTS[:n])

@@ -147,12 +147,14 @@ def test_reference_state_and_vacuum(ctx3):
 
 
 def test_vacuum_weight_matches_diagonal_elements(ctx6, ctx3):
+    # T_{a,a}(lam)|0> = w_a(lam)|0> exactly, as whole vectors: the state
+    # recurrence replaces these fields by the scalar w_a
     for ctx in (ctx6, ctx3):
         ref = C.reference_state(ctx.N, ctx.L).amplitudes
         lam = -0.27 + 0.33j
         for a in range(1, ctx.N + 1):
-            direct = C.monodromy_element(ctx, lam, a, a).apply(ref)[0]
-            assert direct == C.vacuum_weight(ctx, lam, a)
+            direct = C.monodromy_element(ctx, lam, a, a).apply(ref)
+            assert np.array_equal(direct, C.vacuum_weight(ctx, lam, a) * ref)
 
 
 def test_vacuum_weight_is_bitwise_site_product(ctx6, ctx3, monkeypatch):

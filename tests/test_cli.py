@@ -102,7 +102,8 @@ def test_solve_n0_trace(six_cfg, tmp_path):
     out = tmp_path / "t.json"
     assert run(["solve", "--config", six_cfg, "--n", "0",
                 "--out", str(out), "--quiet"]) == 0
-    assert '"trace_residuals"' in out.read_text()
+    text = out.read_text()
+    assert '"eigenstate_residuals"' in text and '"pass": true' in text
 
 
 def test_solve_spectrum_dimension_guard(tmp_path, capsys):
@@ -143,9 +144,24 @@ def test_chain_size_cap_exits_2(tmp_path, capsys):
 
 
 def test_csv_requires_spectrum(six_cfg, tmp_path, capsys):
-    assert run(["solve", "--config", six_cfg, "--n", "1",
+    out = tmp_path / "s.json"
+    assert run(["solve", "--config", six_cfg, "--n", "1", "--out", str(out),
                 "--csv", str(tmp_path / "x.csv"), "--quiet"]) == 2
     assert "InvalidOption" in capsys.readouterr().err
+    assert not out.exists()                  # rejected before any solving
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--samples", "3"], ["offshell", "--samples", "3"],
+    ["rules", "--samples", "3"], ["check-r", "--csv", "x.csv"],
+    ["identities", "--csv", "x.csv"], ["offshell", "--csv", "x.csv"],
+    ["rules", "--csv", "x.csv"]], ids=[
+    "solve-samples", "offshell-samples", "rules-samples", "check-r-csv",
+    "identities-csv", "offshell-csv", "rules-csv"])
+def test_options_only_where_read(six_cfg, args):
+    with pytest.raises(SystemExit) as err:
+        run(args + ["--config", six_cfg, "--quiet"])
+    assert err.value.code == 2
 
 
 def test_offshell_command(spin1_cfg, tmp_path):
@@ -198,13 +214,44 @@ def test_config_diagnostics(tmp_path, capsys):
         assert err.value.line == line
         assert run(["check-r", "--config", cfg, "--quiet"]) == 2
     assert "'foo'" in str(err.value)
-    for name, text in [
-            ("eta6.cfg", "model = six_vertex\neta = 0\nL = 2\n"),
-            ("eta3.cfg", "model = higher_spin_xxz\nN = 3\neta = 0\nL = 2\n")]:
-        cfg = write(tmp_path / name, text)
+    six, spin1 = "model = six_vertex", "model = higher_spin_xxz\nN = 3"
+    for head, eta, message in [
+            (six, "0", "anisotropy"), (spin1, "0", "anisotropy"),
+            (six, "1000", "anisotropy"), (spin1, "1000", "anisotropy"),
+            # sinh(eta) is finite, but the weights overflow
+            (six, "709.5", "overflow"), (spin1, "200", "overflow")]:
+        cfg = write(tmp_path / "eta.cfg", f"{head}\neta = {eta}\nL = 2\n")
         capsys.readouterr()
-        assert run(["check-r", "--config", cfg, "--quiet"]) == 2
-        assert "anisotropy" in capsys.readouterr().err
+        assert run(["check-r", "--config", cfg, "--samples", "3",
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "ParameterDomain" in err and message in err
+
+
+def test_summary_propagates_nan():
+    summary = cli._summary([0.5, float("nan")])
+    assert summary["max"] != summary["max"] and summary["count"] == 2
+
+
+def test_nonfinite_inhomogeneity_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path / "nan.cfg", "model = six_vertex\neta = 0.4375\n"
+                "L = 2\ninhomogeneities = [nan, 0]\n")
+    assert run(["solve", "--config", cfg, "--n", "1", "--quiet"]) == 2
+    assert "inhomogeneity must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0.3 0 0.1 0 1 1 1 1 abc 0\n", 1),          # non-numeric field
+    ("", 1),                                      # no records at all
+    ("0.3 0 0.1 0 1 1 1 1 1 0\n0.3 0 0.1 0 1 1 1 2 0.5 0\n", 2)],  # off ice
+    ids=["non-numeric", "empty", "off-ice"])
+def test_table_file_errors_located(tmp_path, capsys, body, line):
+    table = write(tmp_path / "w.tab", body)
+    cfg = write(tmp_path / "t.cfg",
+                f"model = table\ntable_file = {table}\nL = 2\n")
+    assert run(["check-r", "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "ParameterDomain" in err and f"{table}:{line}:" in err
 
 
 _ANY_VALUE = st.one_of(
@@ -288,8 +335,9 @@ def test_table_model_missing_pair_exits(tmp_path, capsys):
 def test_table_model_failing_weights_located(tmp_path):
     six = W.six_vertex(ETA)
     lam, mu = 0.31 + 0.0j, -0.22 + 0.0j
-    broken = six.eval_r(lam, mu).with_injected_entry(
-        1, 2, 2, 1, six.eval_r(lam, mu).entry(1, 2, 2, 1) + 1e-3)
+    arr = six.eval_r(lam, mu).dense().copy()
+    arr[1, 2] += 1e-3                        # (1,2)->(2,1)
+    broken = W.WeightMatrix.from_dense(2, arr)
     rec = [(lam, mu, broken), (mu, lam, six.eval_r(mu, lam)),
            (lam, lam, six.eval_r(lam, lam))]
     table = tmp_path / "w.tab"

@@ -13,8 +13,7 @@ def test_ice_rule_structural(six):
     w = six.eval_r(0.3, 0.1)
     assert w.entry(1, 2, 2, 1) != 0          # ice-allowed entry present
     assert w.entry(1, 1, 1, 2) == 0          # a+b != c+d reads as exact zero
-    report = W.check_ice_rule(w)
-    assert report.ok and not report.violations
+    assert W.check_ice_rule(w.dense()) == []
 
 
 def test_ice_rule_full_enumeration(spin1):
@@ -33,10 +32,11 @@ def test_ice_rule_full_enumeration(spin1):
 
 
 def test_ice_rule_injected_violation(six):
-    w = six.eval_r(0.3, 0.1).with_injected_entry(1, 1, 1, 2, 0.25)
-    report = W.check_ice_rule(w)
-    assert not report.ok
-    assert (1, 1, 1, 2) in report.violations
+    arr = six.eval_r(0.3, 0.1).dense().copy()
+    arr[0, 1] = 0.25                         # (1,1)->(1,2)
+    assert W.check_ice_rule(arr) == [(1, 1, 1, 2, 0.25)]
+    with pytest.raises(ParameterDomain, match="non-ice"):
+        W.WeightMatrix.from_dense(2, arr)
 
 
 def test_permutation_model_checks():
@@ -86,9 +86,9 @@ def test_higher_spin_reduces_to_six_vertex(six):
 
 def test_perturbed_weights_break_ybe(six):
     def broken(lam, mu):
-        w = six.eval_r(lam, mu)
-        return w.with_injected_entry(1, 2, 2, 1,
-                                     w.entry(1, 2, 2, 1) + 1e-3)
+        arr = six.eval_r(lam, mu).dense().copy()
+        arr[1, 2] += 1e-3                    # (1,2)->(2,1)
+        return W.WeightMatrix.from_dense(2, arr)
 
     model = W.custom_model(2, broken)
     assert W.check_yang_baxter(model, 0.3, -0.2, 0.45) > 1e-6
