@@ -28,7 +28,7 @@ from .verify import (IdentityReport, RuleCoefficients, RuleTerm,
                      exact_spectrum, generate_annihilation_creation_rule,
                      generate_creation_creation_rule,
                      generate_diag_creation_rule, identity_suite,
-                     overlap_pairing)
+                     relative_residual)
 from .weights import (ModelSpec, WeightMatrix, charge_block, check_ice_rule,
                       check_regularity, check_unitarity, check_yang_baxter,
                       custom_model, eval_r, higher_spin_xxz, load_table_file,

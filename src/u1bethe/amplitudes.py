@@ -60,9 +60,6 @@ class AmplitudeCache:
     def __len__(self):
         return len(self._store)
 
-    def clear(self):
-        self._store.clear()
-
 
 def det_guarded(mat):
     """Determinant by LU with partial pivoting and a hard pivot gate.

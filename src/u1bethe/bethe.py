@@ -26,7 +26,12 @@ __all__ = [
     "RootSet", "BetheState", "OffshellTerm", "build_bethe_vector",
     "bae_residual", "bae_residual_vector", "solve_bae", "eigenvalue",
     "eigenvector_residual", "offshell_expansion", "expansion_for_diagonal",
+    "EIGENVECTOR_TOL",
 ]
+
+# an `eigenvector_residual` at or below this makes a built vector an
+# eigenvector: the solver's physical filter and `solve`'s gates read it
+EIGENVECTOR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,8 @@ def _is_physical(ctx, rs):
 
     Spurious Bethe-equation solutions (typically runaways standing in for
     roots at infinity) build a vanishing vector; genuine ones have an
-    `eigenvector_residual` below 1e-8 at the first usable filter offset.
+    `eigenvector_residual` within EIGENVECTOR_TOL at the first usable
+    filter offset.
     """
     try:
         state = build_bethe_vector(ctx, rs)
@@ -226,7 +232,7 @@ def _is_physical(ctx, rs):
                                        state)
         except _EVAL_ERRORS:
             continue
-        return res <= 1e-8
+        return res <= EIGENVECTOR_TOL
     return False
 
 

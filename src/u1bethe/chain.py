@@ -97,14 +97,8 @@ class StateVector:
         sectors = np.unique(_digit_sums(self.N, self.L)[self.amplitudes != 0])
         return int(sectors[0]) if len(sectors) == 1 else None
 
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
     def __add__(self, other):
         return StateVector(self.N, self.L, self.amplitudes + other.amplitudes)
-
-    def __sub__(self, other):
-        return StateVector(self.N, self.L, self.amplitudes - other.amplitudes)
 
     def __mul__(self, scalar):
         return StateVector(self.N, self.L, self.amplitudes * scalar)

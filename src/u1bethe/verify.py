@@ -26,7 +26,7 @@ from .weights import charge_block, eval_r, random_point
 
 __all__ = [
     "RuleCoefficients", "RuleTerm", "IdentityReport",
-    "exact_spectrum", "eigenstate_residual", "overlap_pairing",
+    "exact_spectrum", "eigenstate_residual", "relative_residual",
     "generate_diag_creation_rule", "generate_creation_creation_rule",
     "generate_annihilation_creation_rule", "check_rule_on_lattice",
     "enumerate_rules", "creation_rule_counts", "table3_counts",
@@ -34,6 +34,16 @@ __all__ = [
 ]
 
 _EVAL_ERRORS = (Singularity, ParameterDomain)
+
+
+def relative_residual(lhs, rhs):
+    """max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-30), scalars or arrays.
+
+    Builtin `abs` keeps a complex scalar on Python's own modulus, so a
+    scalar residual is exactly abs(lhs - rhs) / max(abs(lhs), abs(rhs)).
+    """
+    return float(np.max(abs(lhs - rhs))
+                 / max(np.max(abs(lhs)), np.max(abs(rhs)), 1e-30))
 
 
 # ----------------------------------------------------------------------
@@ -65,29 +75,6 @@ def eigenstate_residual(ctx, lam, roots, cache=None):
     """`bethe.eigenvector_residual` of the Bethe vector built from `roots`."""
     return bt.eigenvector_residual(ctx, lam,
                                    bt.build_bethe_vector(ctx, roots, cache))
-
-
-def overlap_pairing(ctx, lam1, lam2, n):
-    """Pair the sector-n spectra of T(lam1) and T(lam2) by eigenvectors.
-
-    Because the transfer matrices commute they share eigenvectors, so the
-    pairing is read off from maximal overlaps; eigenvalue sorting alone
-    would be confused by crossings.  Returns a list of (ev1, ev2) pairs.
-    """
-    idx = sector_indices(ctx.N, ctx.L, n)
-    t1 = _sector_block(transfer_matrix(ctx, lam1), idx)
-    t2 = _sector_block(transfer_matrix(ctx, lam2), idx)
-    e1, v1 = np.linalg.eig(t1)
-    e2, v2 = np.linalg.eig(t2)
-    overlaps = np.abs(v1.conj().T @ v2)
-    pairs = []
-    used = set()
-    for i in np.argsort(e1.real):
-        j = max((j for j in range(len(e2)) if j not in used),
-                key=lambda j: overlaps[i, j])
-        used.add(j)
-        pairs.append((e1[i], e2[j]))
-    return pairs
 
 
 # ----------------------------------------------------------------------
@@ -241,8 +228,8 @@ def generate_diag_creation_rule(model, a, b, lam, mu):
     w = eval_r(model, lam, mu)
     if a == N:
         return rule(_rtt(w, (N, 1), (N, b)), direct=True)
-    cs = list(range(0, b)) if a <= N + 1 - b else list(range(0, N - a + 1))
-    kwin = list(range(max(1, a + b - N), b + 1))
+    # the same system as the creation rule with a in the place of a1
+    _family, cs, kwin = _creation_system(a, b, N)
     unknowns = [((1, k, "mu"), (a, a + b - k, "lam")) for k in kwin]
     solved = _eliminate([_rtt(w, (a, 1), (a + c, b - c)) for c in cs],
                         unknowns)
@@ -254,6 +241,21 @@ def generate_diag_creation_rule(model, a, b, lam, mu):
 # ----------------------------------------------------------------------
 # family 2: creation fields among themselves
 # ----------------------------------------------------------------------
+
+def _creation_system(a1, b1, N):
+    """(family, cs, kwin) of the linear system behind an a1 >= 3 rule.
+
+    The family is the A1/A2/A4 label of Table 3, `cs` the component
+    offsets c of the equations and `kwin` the window of unknowns k.
+    """
+    if b1 >= N:
+        return ("A4", list(range(b1 - N, N - a1 + 1)),
+                list(range(a1 + b1 - N, N + 1)))
+    kwin = list(range(max(1, a1 + b1 - N), b1 + 1))
+    if a1 <= N + 1 - b1:
+        return "A1", list(range(0, b1)), kwin
+    return "A2", list(range(0, N - a1 + 1)), kwin
+
 
 def _creation_window(a1, b1, d1, N):
     if not (2 <= a1 <= N and 0 <= d1 <= N - a1 and 2 <= b1 - d1 <= N):
@@ -284,13 +286,8 @@ def generate_creation_creation_rule(model, a1, b1, d1, lam, mu):
             return rule(_rtt(w, (1, 1), (b, 2 + d1)), lhs, direct=True)
         cs = [b - 2, b1 - 1]
         kwin = [1, 2]
-    elif b1 < N:
-        cs = list(range(0, b1)) if a1 <= N + 1 - b1 \
-            else list(range(0, N - a1 + 1))
-        kwin = list(range(max(1, a1 + b1 - N), b1 + 1))
     else:
-        cs = list(range(b1 - N, N - a1 + 1))
-        kwin = list(range(a1 + b1 - N, N + 1))
+        _family, cs, kwin = _creation_system(a1, b1, N)
     unknowns = [((1, k, "mu"), (a1 - 1, a1 + b1 - k, "lam")) for k in kwin]
     solved = _eliminate([_rtt(w, (a1 - 1, 1), (a1 + c, b1 - c)) for c in cs],
                         unknowns)
@@ -377,17 +374,9 @@ def enumerate_rules(N):
 def creation_rule_counts(N):
     """Count the a1 >= 3 creation rules per linear-system family."""
     counts = {"A1": 0, "A2": 0, "A4": 0}
-    for a1 in range(3, N + 1):
-        for d1 in range(0, N - a1 + 1):
-            for b in range(2, N + 1):
-                b1 = b + d1
-                if b1 < N:
-                    if a1 <= N + 1 - b1:
-                        counts["A1"] += 1
-                    else:
-                        counts["A2"] += 1
-                else:
-                    counts["A4"] += 1
+    for family, indices in enumerate_rules(N):
+        if family == "creation_creation" and indices["a1"] >= 3:
+            counts[_creation_system(indices["a1"], indices["b1"], N)[0]] += 1
     return counts
 
 
@@ -436,11 +425,7 @@ def check_rule_on_lattice(ctx, rule, trials=3):
     rv = np.zeros_like(lv)
     for t in rule.terms:
         rv += t.coeff * product(t.left, t.right, vecs)
-    worst = 0.0
-    for k in range(trials):
-        scale = max(np.max(np.abs(lv[:, k])), np.max(np.abs(rv[:, k])), 1e-30)
-        worst = max(worst, float(np.max(np.abs(lv[:, k] - rv[:, k])) / scale))
-    return worst
+    return max(relative_residual(lv[:, k], rv[:, k]) for k in range(trials))
 
 
 # ----------------------------------------------------------------------
@@ -474,10 +459,6 @@ class IdentityReport:
                 f"{self.skipped} skipped)")
 
 
-def _rel(lhs, rhs):
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-
-
 def _id_block_unitarity(model, pts):
     lam, mu = pts
     wlm, wml = eval_r(model, lam, mu), eval_r(model, mu, lam)
@@ -495,7 +476,7 @@ def _id_swap_ratio(model, pts):
     wlm, wml = eval_r(model, lam, mu), eval_r(model, mu, lam)
     lhs = amp._div(wlm.entry(2, 1, 1, 2), wlm.entry(2, 1, 2, 1))
     rhs = -amp._div(wml.entry(1, 2, 2, 1), wml.entry(2, 1, 2, 1))
-    return _rel(lhs, rhs)
+    return relative_residual(lhs, rhs)
 
 
 def _id_d2_product(model, pts):
@@ -504,7 +485,7 @@ def _id_d2_product(model, pts):
     lhs = amp.det_D2(model, 2, 0, lam, mu) * amp.det_D2(model, 2, 0, mu, lam)
     rhs = amp._div(wlm.entry(1, 1, 1, 1), wlm.entry(2, 1, 2, 1)) \
         * amp._div(wml.entry(1, 1, 1, 1), wml.entry(2, 1, 2, 1))
-    return _rel(lhs, rhs)
+    return relative_residual(lhs, rhs)
 
 
 def _id_d2_top(model, pts):
@@ -513,7 +494,7 @@ def _id_d2_top(model, pts):
     lhs = amp.det_D2(model, 2, 1, lam, mu)
     rhs = -amp._div(wml.entry(3, 1, 2, 2), wml.entry(3, 1, 3, 1)) \
         * amp.det_D2(model, 2, 0, lam, mu)
-    return _rel(lhs, rhs)
+    return relative_residual(lhs, rhs)
 
 
 def _id_d2_charge3_mid(model, pts):
@@ -525,7 +506,7 @@ def _id_d2_charge3_mid(model, pts):
                            [w.entry(4, 1, 4, 1), w.entry(3, 2, 4, 1)]])
     den = amp.det_guarded([[w.entry(4, 1, 3, 2), w.entry(3, 2, 3, 2)],
                            [w.entry(4, 1, 4, 1), w.entry(3, 2, 4, 1)]])
-    return _rel(lhs, -amp._div(num, den))
+    return relative_residual(lhs, -amp._div(num, den))
 
 
 def _id_d2_charge3_top(model, pts):
@@ -537,7 +518,7 @@ def _id_d2_charge3_top(model, pts):
                            [w.entry(4, 1, 3, 2), w.entry(3, 2, 3, 2)]])
     den = amp.det_guarded([[w.entry(4, 1, 3, 2), w.entry(3, 2, 3, 2)],
                            [w.entry(4, 1, 4, 1), w.entry(3, 2, 4, 1)]])
-    return _rel(lhs, amp._div(num, den))
+    return relative_residual(lhs, amp._div(num, den))
 
 
 def _id_block_det_exchange(model, pts):
@@ -565,7 +546,7 @@ def _id_block_det_exchange(model, pts):
             r2 = amp._div(
                 det([[ab[r, c] for c in cols_num] for r in range(i - 1)]),
                 det([[ab[r, c] for c in cols_den] for r in range(i)]))
-            worst = max(worst, _rel(lhs, (-1) ** i * r1 * r2))
+            worst = max(worst, relative_residual(lhs, (-1) ** i * r1 * r2))
     return worst
 
 
@@ -579,7 +560,7 @@ def _id_d3_over_d2(model, pts):
                        amp.det_D4(model, i + 1, 3, lam, mu)) \
             * amp._div(amp.det_D4(model, i + 2, 4, lam, mu),
                        amp.det_D4(model, i + 2, 3, lam, mu))
-        worst = max(worst, _rel(lhs, rhs))
+        worst = max(worst, relative_residual(lhs, rhs))
     return worst
 
 
@@ -591,7 +572,7 @@ def _id_d2_to_d5d4(model, pts):
                        amp.det_D2(model, i + 1, 0, lam, mu))
         rhs = -amp._div(amp.det_D5(model, i + 2, lam, mu),
                         amp.det_D4(model, i + 2, 3, lam, mu))
-        worst = max(worst, _rel(lhs, rhs))
+        worst = max(worst, relative_residual(lhs, rhs))
     return worst
 
 
@@ -605,7 +586,7 @@ def _id_ybe_triple_low(model, pts):
     rhs = amp._div(w2l.entry(1, 2, 2, 1), w2l.entry(2, 1, 2, 1)) \
         * amp._div(w1l.entry(3, 1, 2, 2), w1l.entry(3, 1, 3, 1)) \
         + x12 * amp._div(w1l.entry(2, 1, 2, 1), w1l.entry(3, 1, 3, 1))
-    return _rel(lhs, rhs)
+    return relative_residual(lhs, rhs)
 
 
 def _id_ybe_triple_high(model, pts):
@@ -619,7 +600,7 @@ def _id_ybe_triple_high(model, pts):
     rhs = x12 * amp._div(wl1.entry(N, 3, N, 3), wl1.entry(N, 2, N, 2)) \
         - amp._div(wl1.entry(N - 1, 3, N, 2), wl1.entry(N, 2, N, 2)) \
         * amp._div(wl2.entry(N, 1, N - 1, 2), wl2.entry(N, 1, N, 1))
-    return _rel(lhs, rhs)
+    return relative_residual(lhs, rhs)
 
 
 def _wanted_assembly_residual(model, a, cont, lam, l1, l2):
@@ -643,7 +624,7 @@ def _wanted_assembly_residual(model, a, cont, lam, l1, l2):
     t3 = x12 * amp._div(amp.det_D4(model, a + 1, 2, lam, l1),
                         amp.det_D4(model, a + 1, 3, lam, l1)) \
         * amp._div(d4_b4, d4_b3)
-    return _rel(lhs, t1 + t2 + t3)
+    return relative_residual(lhs, t1 + t2 + t3)
 
 
 def _id_wanted_assembly(model, pts):
@@ -664,7 +645,7 @@ def _id_d5d4_continuation(model, pts):
     lhs = -amp._div(amp.det_D5_cont(model, lam, l1),
                     amp.det_D4_cont(model, 3, lam, l1))
     rhs = amp._div(w.entry(N - 1, 3, N, 2), w.entry(N, 2, N, 2))
-    return _rel(lhs, rhs)
+    return relative_residual(lhs, rhs)
 
 
 def _id_d3d2_continuation(model, pts):
@@ -682,7 +663,7 @@ def _id_d3d2_continuation(model, pts):
                    amp.det_D4(model, N, 3, lam, l1)) \
         * amp._div(amp.det_D4_cont(model, 4, lam, l1),
                    amp.det_D4_cont(model, 3, lam, l1))
-    return _rel(lhs, rhs)
+    return relative_residual(lhs, rhs)
 
 
 def _id_charge3_unitarity(model, pts):
@@ -784,7 +765,7 @@ def _ap_f2_exchange(model, pts):
         for c in (0, 2):
             lhs = amp.F_offshell(model, c, 2, a, lam, (l1, l2))
             rhs = th * amp.F_offshell(model, c, 2, a, lam, (l2, l1))
-            worst = max(worst, _rel(lhs, rhs))
+            worst = max(worst, relative_residual(lhs, rhs))
     return worst
 
 
@@ -795,7 +776,7 @@ def _ap_f2_closed(model, pts):
         for c in (0, 2):
             rec = amp.F_offshell(model, c, 2, a, lam, (l1, l2))
             clo = amp.F2_closed(model, c, a, lam, l1, l2)
-            worst = max(worst, _rel(rec, clo))
+            worst = max(worst, relative_residual(rec, clo))
     return worst
 
 
@@ -803,8 +784,8 @@ def _ap_pbar(model, pts):
     lam, l1, l2 = pts
     worst = 0.0
     for a in range(1, model.N + 1):
-        worst = max(worst, _rel(amp.Pbar_a(model, a, lam, l1, l2),
-                                amp.P_a(model, a, lam, l2)))
+        worst = max(worst, relative_residual(
+            amp.Pbar_a(model, a, lam, l1, l2), amp.P_a(model, a, lam, l2)))
     return worst
 
 
@@ -815,11 +796,11 @@ def _ap_h_exchange(model, pts):
     for a in range(1, model.N):
         lhs = amp.H_function(model, 0, 1, a, lam, l1, l2, tag=2)
         rhs = th * amp.H_function(model, 0, 1, a, lam, l2, l1, tag=1)
-        worst = max(worst, _rel(lhs, rhs))
+        worst = max(worst, relative_residual(lhs, rhs))
     for a in range(1, model.N - 1):
         lhs = amp.H_function(model, 1, 1, a, lam, l1, l2, tag=2)
         rhs = th * amp.H_function(model, 1, 1, a, lam, l2, l1, tag=1)
-        worst = max(worst, _rel(lhs, rhs))
+        worst = max(worst, relative_residual(lhs, rhs))
     return worst
 
 
@@ -829,7 +810,7 @@ def _ap_h_equals_f(model, pts):
     for a in range(1, model.N - 1):
         lhs = amp.H_function(model, 1, 2, a, lam, l1, l2, tag=1)
         rhs = amp.F_offshell(model, 1, 2, a, lam, (l1, l2))
-        worst = max(worst, _rel(lhs, rhs))
+        worst = max(worst, relative_residual(lhs, rhs))
     return worst
 
 
@@ -916,8 +897,7 @@ def appendix_operator_checks(ctx, lam, l2, l3, cache=None, tol=1e-9):
         coef += vacuum_weight(ctx, lam, a) * w2_2 * w2_3 \
             * F(2, 2, a, lam, (l2, l3))
         rhs = coef * ref
-        res.append(float(np.max(np.abs(lhs - rhs))
-                         / max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)))
+        res.append(relative_residual(lhs, rhs))
     if res:
         rep("t_aplus2_on_phi2", res)
 
@@ -949,8 +929,7 @@ def appendix_operator_checks(ctx, lam, l2, l3, cache=None, tol=1e-9):
         if a >= 2:
             c5 = w2_2 * w2_3 * F(2, 2, a - 1, lam, (l2, l3))
             rhs += c5 * monodromy_element(ctx, lam, a - 1, a).apply(ref)
-        res.append(float(np.max(np.abs(lhs - rhs))
-                         / max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)))
+        res.append(relative_residual(lhs, rhs))
     rep("t_aplus1_on_phi2", res)
 
     # tagged two-root amplitude equals the recursion value
@@ -964,7 +943,7 @@ def appendix_operator_checks(ctx, lam, l2, l3, cache=None, tol=1e-9):
             * F(0, 1, a, lam, (l3,)) \
             - F(0, 1, a + 1, lam, (l2,)) * F(0, 1, a, lam, (l2,)) \
             * F(0, 1, 1, l2, (l3,))
-        res.append(_rel(tagged, F(2, 2, a, lam, (l2, l3))))
+        res.append(relative_residual(tagged, F(2, 2, a, lam, (l2, l3))))
     if res:
         rep("tagged_f22_identity", res)
 
@@ -987,7 +966,7 @@ def appendix_operator_checks(ctx, lam, l2, l3, cache=None, tol=1e-9):
                 wl2.entry(a + 2, 1, a + 2, 1) * wl2.entry(a + 1, 1, a + 1, 1))
         rhs1 = th23 * amp.P_a(model, 1, l3, l2) \
             * amp.P_a(model, a + 1, lam, l2) * F(0, 1, a, lam, (l3,))
-        res1.append(_rel(p1, rhs1))
+        res1.append(relative_residual(p1, rhs1))
     for a in range(1, N):
         wl2 = eval_r(model, lam, l2)
         # the first factor enters with the w_1-carrying amplitude, hence
@@ -1001,7 +980,7 @@ def appendix_operator_checks(ctx, lam, l2, l3, cache=None, tol=1e-9):
             * F(0, 1, a, lam, (l3,))
         rhs2 = th23 * amp.P_a(model, 2, l3, l2) \
             * amp.P_a(model, a, lam, l2) * F(0, 1, a, lam, (l3,))
-        res2.append(_rel(p2, rhs2))
+        res2.append(relative_residual(p2, rhs2))
     if res1:
         rep("mixed_wanted_factorization_up", res1)
     rep("mixed_wanted_factorization_down", res2)

@@ -469,6 +469,8 @@ def load_table_file(path):
                 wr, wi = float(parts[8]), float(parts[9])
             except ValueError as err:
                 raise ParameterDomain(f"{path}:{ln}: {err}") from None
+            if min(a, b, c, d) < 1:
+                raise ParameterDomain(f"{path}:{ln}: indices start at 1")
             if a + b != c + d:
                 raise ParameterDomain(
                     f"{path}:{ln}: entry ({a},{b})->({c},{d}) violates the ice rule")

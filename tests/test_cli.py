@@ -155,13 +155,34 @@ def test_csv_requires_spectrum(six_cfg, tmp_path, capsys):
     ["solve", "--samples", "3"], ["offshell", "--samples", "3"],
     ["rules", "--samples", "3"], ["check-r", "--csv", "x.csv"],
     ["identities", "--csv", "x.csv"], ["offshell", "--csv", "x.csv"],
-    ["rules", "--csv", "x.csv"]], ids=[
+    ["rules", "--csv", "x.csv"], ["solve", "--match-tol", "1e-8"],
+    ["rules", "--pairs", "3"]], ids=[
     "solve-samples", "offshell-samples", "rules-samples", "check-r-csv",
-    "identities-csv", "offshell-csv", "rules-csv"])
+    "identities-csv", "offshell-csv", "rules-csv", "solve-match-tol",
+    "rules-pairs"])
 def test_options_only_where_read(six_cfg, args):
     with pytest.raises(SystemExit) as err:
         run(args + ["--config", six_cfg, "--quiet"])
     assert err.value.code == 2
+
+
+_COMMANDS = ("check-r", "identities", "solve", "offshell", "rules")
+_BAD_OPTIONS = [(cmd, ["--tol", tol]) for cmd in _COMMANDS
+                for tol in ("nan", "0", "-1")] \
+    + [(cmd, ["--seed", "-1"]) for cmd in _COMMANDS] \
+    + [("check-r", ["--samples", "0"]), ("solve", ["--max-iter", "0"]),
+       ("offshell", ["--root", "abc"]), ("offshell", ["--lam", "x,y"])]
+
+
+@pytest.mark.parametrize("command, args", _BAD_OPTIONS,
+                         ids=[f"{c}{'='.join(a)}" for c, a in _BAD_OPTIONS])
+def test_bad_option_values_exit_2(six_cfg, tmp_path, capsys, command, args):
+    out = tmp_path / "r.json"
+    extra = ["--n", "1"] if command in ("solve", "offshell") else []
+    assert run([command, "--config", six_cfg, *extra, *args,
+                "--out", str(out), "--quiet"]) == 2
+    assert "InvalidOption" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_offshell_command(spin1_cfg, tmp_path):
@@ -243,8 +264,9 @@ def test_nonfinite_inhomogeneity_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("body, line", [
     ("0.3 0 0.1 0 1 1 1 1 abc 0\n", 1),          # non-numeric field
     ("", 1),                                      # no records at all
-    ("0.3 0 0.1 0 1 1 1 1 1 0\n0.3 0 0.1 0 1 1 1 2 0.5 0\n", 2)],  # off ice
-    ids=["non-numeric", "empty", "off-ice"])
+    ("0.3 0 0.1 0 1 1 1 1 1 0\n0.3 0 0.1 0 1 1 1 2 0.5 0\n", 2),  # off ice
+    ("0.3 0 0.1 0 0 2 1 1 1 0\n", 1)],           # index below 1, on ice
+    ids=["non-numeric", "empty", "off-ice", "index-below-1"])
 def test_table_file_errors_located(tmp_path, capsys, body, line):
     table = write(tmp_path / "w.tab", body)
     cfg = write(tmp_path / "t.cfg",

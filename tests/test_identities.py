@@ -80,3 +80,18 @@ def test_identity_reports_deterministic(spin1):
     r2 = V.identity_suite(spin1, samples=5, seed=7)
     assert [(a.identity_id, a.residuals) for a in r1] == \
         [(b.identity_id, b.residuals) for b in r2]
+
+
+def test_relative_residual_scalars_and_arrays():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lhs, rhs = (complex(*rng.standard_normal(2))
+                    * 10.0 ** rng.integers(-8, 8) for _ in range(2))
+        old = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+        assert V.relative_residual(lhs, rhs) == old      # bit for bit
+    assert V.relative_residual(0j, 0j) == 0.0
+    lhs = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    rhs = lhs + 1e-9 * rng.standard_normal(7)
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)
+    assert V.relative_residual(lhs, rhs) == \
+        float(np.max(np.abs(lhs - rhs)) / scale)

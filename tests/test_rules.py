@@ -222,12 +222,3 @@ def test_exact_spectrum_dimension_guard(six):
     with pytest.raises(Exception):
         V.exact_spectrum(ctx, 0.3)
 
-
-def test_overlap_pairing(six):
-    ctx = C.ChainContext(six, 4)
-    pairs = V.overlap_pairing(ctx, 0.31 + 0.12j, -0.27 + 0.41j, 2)
-    assert len(pairs) == 6
-    # identical arguments pair every eigenvalue with itself
-    same = V.overlap_pairing(ctx, 0.31 + 0.12j, 0.31 + 0.12j, 2)
-    for e1, e2 in same:
-        assert abs(e1 - e2) < 1e-10 * max(1.0, abs(e1))
