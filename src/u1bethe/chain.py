@@ -7,10 +7,13 @@ Lax factor acts first.  The total-spin digit sum n labels the sectors:
 S^z eigenvalue = L s - n with s = (N - 1)/2.
 """
 
+import functools
+import math
+
 import numpy as np
 
 from .errors import DimensionTooLarge, EmptySector
-from .weights import _finite, eval_r
+from .weights import _finite, eval_r, ice_entry_count, ice_row_slots
 
 __all__ = [
     "DENSE_LIMIT", "MAX_CHAIN_DIM", "ChainContext", "ChainOperator",
@@ -20,9 +23,10 @@ __all__ = [
 
 DENSE_LIMIT = 4096  # largest N^L whose dense form may be requested
 
-# Largest N^L a ChainContext accepts: an operator application holds a few
-# arrays of N^(L+1) complex numbers, a few hundred MB at 2^20 states for
-# N <= 5.  The tests and the benchmark go up to 2^14 states.
+# Largest N^L a ChainContext accepts: an operator application holds its
+# input and output, N^L complex numbers each, plus work arrays sized by the
+# charge sectors the input occupies -- up to a few hundred MB for an input
+# spread over every sector of 2^20 states.  The tests go up to 2^20 states.
 MAX_CHAIN_DIM = 2 ** 20
 
 
@@ -30,6 +34,7 @@ class ChainContext:
     """Model + chain length + inhomogeneities; immutable once built."""
 
     _VACUUM_CAP = 4096  # memoized spectral points before the memo is cleared
+    _PLAN_BYTES = 16 * 2 ** 20  # byte budget of the contraction plans
 
     def __init__(self, model, L, inhomogeneities=None):
         if L < 1:
@@ -52,10 +57,26 @@ class ChainContext:
         self.N = model.N
         self.dim = model.N ** L
         self._vacuum = {}  # lam -> [w_1(lam), ..., w_N(lam)]
+        self._plans = {}   # total charges -> _SectorPlan, built on first apply
+        self._plan_bytes = 0
 
     def __repr__(self):
         return (f"ChainContext({self.model.name}, N={self.N}, L={self.L}, "
                 f"mu={self.inhomogeneities})")
+
+    def _plan(self, charges):
+        """The contraction plan over a tuple of total charges, memoized
+        within `_PLAN_BYTES`; a plan above the budget is used once."""
+        plan = self._plans.get(charges)
+        if plan is None:
+            plan = _SectorPlan(self.N, self.L, charges, self._PLAN_BYTES)
+            if plan.nbytes <= self._PLAN_BYTES:
+                if self._plan_bytes + plan.nbytes > self._PLAN_BYTES:
+                    self._plans.clear()  # index maps only: rebuilt on demand
+                    self._plan_bytes = 0
+                self._plans[charges] = plan
+                self._plan_bytes += plan.nbytes
+        return plan
 
 
 class ChainOperator:
@@ -106,19 +127,23 @@ class StateVector:
     __rmul__ = __mul__
 
 
+@functools.lru_cache(maxsize=16)
 def _digit_sums(N, L):
-    """Base-N digit sum of every basis index: each state's particle number."""
-    idx = np.arange(N ** L)
-    sums = np.zeros(N ** L, dtype=int)
-    for _ in range(L):
-        sums += idx % N
-        idx //= N
+    """Base-N digit sum of every basis index: each state's particle number.
+
+    Read-only and shared; the smallest unsigned dtype that holds (N-1) L.
+    """
+    digits = np.arange(N, dtype=np.min_scalar_type((N - 1) * L))
+    sums = np.zeros(1, dtype=digits.dtype)
+    for _ in range(L):  # site 1 slowest: each further site is the fastest digit
+        sums = (sums[:, None] + digits).ravel()
+    sums.setflags(write=False)
     return sums
 
 
 def sector_indices(N, L, n):
     """Basis indices spanning the n-particle sector."""
-    return np.nonzero(_digit_sums(N, L) == n)[0]
+    return np.flatnonzero(_digit_sums(N, L) == n)
 
 
 def lax(model, lam, mu_i):
@@ -126,50 +151,111 @@ def lax(model, lam, mu_i):
     return eval_r(model, lam, mu_i).dense()
 
 
-def _site_blocks(model, lam, mu_i):
-    """R(lam, mu_i) arranged as site operators: blocks[c, e][i, j] = R_{c+1,i+1}^{e+1,j+1}."""
-    N = model.N
-    return lax(model, lam, mu_i).reshape(N, N, N, N).transpose(0, 2, 1, 3)
-
-
 def monodromy_element(ctx, lam, a, b):
     """The (a, b) auxiliary block of the monodromy matrix at `lam`.
 
     The returned operator contracts the Lax chain site by site on each
-    application; no dense form is built.
+    application, over the charge sectors its input occupies; no dense
+    form is built.
     """
     N = ctx.N
     if not (1 <= a <= N and 1 <= b <= N):
         raise IndexError(f"auxiliary indices ({a},{b}) outside 1..{N}")
     return ChainOperator(N, ctx.L, b - a,
-                         lambda vec: _apply_monodromy(ctx, lam, a, b, vec))
-
-
-def _apply_monodromy(ctx, lam, a, b, vec):
-    """T_{a,b}(lam) on a vector or on each column of a (N^L, k) batch."""
-    N, L = ctx.N, ctx.L
-    batch = vec.shape[1:]
-    cur = np.zeros((N,) + (N,) * L + batch, dtype=complex)
-    cur[b - 1] = vec.reshape((N,) * L + batch)
-    for k in range(1, L + 1):
-        blocks = _site_blocks(ctx.model, lam, ctx.inhomogeneities[k - 1])
-        moved = np.moveaxis(cur, k, 1)
-        new = np.einsum("baij,aj...->bi...", blocks, moved)
-        cur = np.moveaxis(new, 1, k)
-    return cur[a - 1].reshape(vec.shape)
+                         lambda vec: _apply_monodromy_sum(ctx, lam, ((a, b),), vec))
 
 
 def transfer_matrix(ctx, lam):
     """T(lam) = sum_a T_{a,a}(lam); commutes with itself at other lam."""
-    N = ctx.N
+    pairs = tuple((a, a) for a in range(1, ctx.N + 1))
+    return ChainOperator(ctx.N, ctx.L, 0,
+                         lambda vec: _apply_monodromy_sum(ctx, lam, pairs, vec))
 
-    def _apply(vec):
-        out = np.zeros(vec.shape, dtype=complex)
-        for a in range(1, N + 1):
-            out += _apply_monodromy(ctx, lam, a, a, vec)
-        return out
 
-    return ChainOperator(N, ctx.L, 0, _apply)
+class _SectorPlan:
+    """Index maps of the monodromy contraction over a set of total charges.
+
+    The auxiliary space is site 0 of an (L+1)-site chain: T_{a,b} is then
+    L two-site gates (aux, site k), and the total charge, aux digit plus
+    digit sum, is conserved.  The plan's basis holds the states whose total
+    charge is in `charges`, ordered by extended index d0 N^L + index, with
+    d0 the aux digit; `segments[d0]` is (start, stop, chain indices) of the
+    states with aux digit d0.  A plan within `budget` bytes builds every
+    gate at once; a larger one builds each gate when the contraction
+    reaches it.
+    """
+
+    def __init__(self, N, L, charges, budget):
+        self.N, self.L = N, L
+        sums = _digit_sums(N, L)
+        wanted = np.zeros(N + (N - 1) * L, dtype=bool)
+        wanted[list(charges)] = True
+        self.segments, ext, start = [], [], 0
+        for d0 in range(N):
+            idx = np.flatnonzero(wanted[d0:][sums])
+            self.segments.append((start, start + len(idx), idx))
+            ext.append(idx + d0 * N ** L)
+            start += len(idx)
+        self.size = start
+        self._ext = np.concatenate(ext)
+        # per state: one index in the segments and ext, 2N in each gate
+        self.nbytes = (2 + 2 * N * L) * start * self._ext.itemsize
+        self._built = None
+        if self.nbytes <= budget:
+            self._built = [self._gate(k) for k in range(1, L + 1)]
+
+    def gates(self):
+        """Site 1 first: the list if built, else one gate at a time."""
+        if self._built is not None:
+            return self._built
+        return (self._gate(k) for k in range(1, self.L + 1))
+
+    def _gate(self, k):
+        """(partners, slots) of gate k, both (size, N).
+
+        A state with aux digit d0 and site-k digit dk is row (d0+1, dk+1) of
+        a charge block of R(lam, mu_k).  Column c of that row is the weight
+        in storage slot slots[s, c] and acts on the state partners[s, c],
+        which has aux digit lo + c, lo + 1 the block's first column, and
+        the same total charge.  Columns past the block's width read the
+        zero slot one past the stored entries, and point at the state itself.
+        """
+        N, ext = self.N, self._ext
+        top, place = N ** self.L, N ** (self.L - k)
+        d0 = ext // top
+        dk = ext // place % N
+        slots = ice_row_slots(N)[d0 * N + dk]
+        aux = np.maximum(d0 + dk - (N - 1), 0)[:, None] + np.arange(N)
+        members = ext[:, None] + (aux - d0[:, None]) * (top - place)
+        partners = np.where(slots < ice_entry_count(N),
+                            np.searchsorted(ext, members),
+                            np.arange(len(ext))[:, None])
+        return partners, slots
+
+
+def _apply_monodromy_sum(ctx, lam, pairs, vec):
+    """sum of T_{a,b}(lam) vec over `pairs`, on a vector or a (N^L, k) batch.
+
+    Each term is contracted over the charge sectors the input occupies:
+    entries outside them are exact zeros and stay out of the work arrays.
+    """
+    cols = vec.reshape(ctx.dim, -1)
+    out = np.zeros(cols.shape, dtype=complex)
+    rows = np.flatnonzero(cols.any(axis=1))
+    if len(rows) == 0:
+        return out.reshape(vec.shape)
+    sectors = np.flatnonzero(np.bincount(_digit_sums(ctx.N, ctx.L)[rows]))
+    for a, b in pairs:
+        plan = ctx._plan(tuple((sectors + (b - 1)).tolist()))
+        cur = np.zeros((plan.size, cols.shape[1]), dtype=complex)
+        start, stop, idx = plan.segments[b - 1]
+        cur[start:stop] = cols[idx]
+        for mu, (partners, slots) in zip(ctx.inhomogeneities, plan.gates()):
+            vals = np.append(eval_r(ctx.model, lam, mu).values, 0)
+            cur = np.einsum("sc,sck->sk", vals[slots], cur[partners])
+        start, stop, idx = plan.segments[a - 1]
+        out[idx] += cur[start:stop]
+    return out.reshape(vec.shape)
 
 
 def reference_state(N, L):
@@ -208,7 +294,12 @@ def spin_z_total(N, L):
 
 
 def sector_dimension(N, L, n):
-    return len(sector_indices(N, L, n))
+    """Number of states with digit sum n, counted without listing them:
+    the x^n coefficient of (1 + x + ... + x^(N-1))^L."""
+    if n < 0:
+        return 0
+    return sum((-1) ** j * math.comb(L, j) * math.comb(n - j * N + L - 1, L - 1)
+               for j in range(min(L, n // N) + 1))
 
 
 def require_nonempty_sector(N, L, n):

@@ -76,6 +76,11 @@ class _Layout:
             self.keys += [(a, q + 1 - a, c, q + 1 - c)
                           for a in range(lo, hi + 1) for c in range(lo, hi + 1)]
         self.index = {key: k for k, key in enumerate(self.keys)}
+        # row_slots[(a-1) N + (b-1), c - lo] = slot of R_{a,b}^{c,d}, over the
+        # block's columns c = lo..hi, padded with the slot past the last entry
+        self.row_slots = np.full((N * N, N), len(self.keys))
+        for k, (a, b, c, d) in enumerate(self.keys):
+            self.row_slots[(a - 1) * N + b - 1, c - block_range(N, a + b - 1)[0]] = k
         arr = np.array(self.keys) - 1
         self.rows = arr[:, 0] * N + arr[:, 1]
         self.cols = arr[:, 2] * N + arr[:, 3]
@@ -87,6 +92,12 @@ class _Layout:
 
 
 _layout = functools.cache(_Layout)  # one layout per N, built on first use
+
+
+def ice_row_slots(N):
+    """(N^2, N) storage slots of each weight row (a, b) over its charge
+    block's columns, padded with `ice_entry_count(N)`; row (a-1) N + (b-1)."""
+    return _layout(N).row_slots
 
 
 def ice_entry_count(N):
@@ -166,6 +177,11 @@ class WeightMatrix:
         for key, v in zip(self._lay.keys, self._vals):
             yield (*key, v)
 
+    @property
+    def values(self):
+        """The flat ice entries in storage order (see `ice_row_slots`)."""
+        return self._vals
+
     def dense(self):
         """N^2 x N^2 array with rows (a,b) and columns (c,d), row-major."""
         if self._dense is None:
@@ -177,8 +193,10 @@ class WeightMatrix:
 
 
 def cache_entry_bytes(N):
-    """Array bytes one cached evaluation can hold: flat entries plus dense()."""
-    return 16 * (ice_entry_count(N) + N ** 4)
+    """Bytes one cached evaluation can hold: its flat entries and dense()
+    arrays, plus 512 B for the object and array headers, the (lam, mu) key
+    and the dict slot (tracemalloc measures 436-450 B at N = 2..5)."""
+    return 16 * (ice_entry_count(N) + N ** 4) + 512
 
 
 class ModelSpec:
@@ -244,10 +262,18 @@ def random_point(rng, window):
 # built-in families
 # ----------------------------------------------------------------------
 
+def _sinh(z):
+    """np.sinh(z) of a complex scalar, inf or nan on overflow without a warning."""
+    if abs(z.real) < 709.0:  # cosh(709) < 1e308: no overflow possible
+        return np.sinh(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sinh(z)
+
+
 def _six_vertex_weights(eta, c, u):
     """Flat six-vertex weights at u; `c` is sinh(eta)."""
-    a = np.sinh(u + eta)
-    b = np.sinh(u)
+    a = _sinh(u + eta)
+    b = _sinh(u)
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise ParameterDomain(f"six_vertex weights overflow at u = {u}")
     if abs(a) < 1e-12 * max(1.0, abs(b), abs(c)):
@@ -343,7 +369,9 @@ def _intertwiner_normal_matrix(N, eta, w, offsets, idx):
         m1 = l12 @ l13
         m2 = l13 @ l12
         cols = _intertwiner_columns(N, m1, m2, idx)
-        gram = gram + cols.conj().T @ cols
+        # an overflow leaves a non-finite Gram matrix; the caller rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = gram + cols.conj().T @ cols
     return gram
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,117 @@ def test_chain_dimension_is_capped(six, spin1):
         with pytest.raises(DimensionTooLarge):
             C.ChainContext(model, L)
     assert C.ChainContext(six, 20).dim == C.MAX_CHAIN_DIM
+
+
+def _einsum_monodromy(ctx, lam, a, b, vec):
+    """T_{a,b}(lam) vec by a full-space einsum over all N^(L+1) amplitudes.
+
+    The auxiliary space is a leading axis; site k's Lax factor contracts
+    the auxiliary axis with axis k, site 1 first.
+    """
+    N, L = ctx.N, ctx.L
+    batch = vec.shape[1:]
+    cur = np.zeros((N,) + (N,) * L + batch, dtype=complex)
+    cur[b - 1] = vec.reshape((N,) * L + batch)
+    for k in range(1, L + 1):
+        r = C.lax(ctx.model, lam, ctx.inhomogeneities[k - 1])
+        # blocks[c, e][i, j] = R_{c+1,i+1}^{e+1,j+1}
+        blocks = r.reshape(N, N, N, N).transpose(0, 2, 1, 3)
+        moved = np.moveaxis(cur, k, 1)
+        new = np.einsum("baij,aj...->bi...", blocks, moved)
+        cur = np.moveaxis(new, 1, k)
+    return cur[a - 1].reshape(vec.shape)
+
+
+def _random_in_sectors(rng, N, L, sectors, shape):
+    vec = np.zeros(shape, dtype=complex)
+    for n in sectors:
+        idx = C.sector_indices(N, L, n)
+        vec[idx] = (rng.standard_normal((len(idx),) + shape[1:])
+                    + 1j * rng.standard_normal((len(idx),) + shape[1:]))
+    return vec
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+@pytest.mark.parametrize("N, L", [(2, 1), (2, 3), (2, 7), (3, 1), (3, 4),
+                                  (4, 2), (4, 3)])
+def test_sector_engine_matches_einsum_oracle(N, L, budget, monkeypatch):
+    # budget 0 keeps no plan: every gate is built when it is reached
+    if budget is not None:
+        monkeypatch.setattr(C.ChainContext, "_PLAN_BYTES", budget)
+    rng = rng_for("engine", 10 * N + L)
+    model = W.higher_spin_xxz(N, ETA)
+    ctx = C.ChainContext(model, L, [W.random_point(rng, model.sample_window)
+                                    for _ in range(L)])
+    lam = W.random_point(rng, model.sample_window)
+    top = (N - 1) * L
+    single = [(n,) for n in rng.choice(top + 1, size=min(3, top + 1),
+                                        replace=False)]
+    cases = [_random_in_sectors(rng, N, L, ns, (ctx.dim,)) for ns in single]
+    mixed = rng.choice(top + 1, size=min(2, top + 1), replace=False)
+    cases.append(_random_in_sectors(rng, N, L, mixed, (ctx.dim, 3)))
+    cases.append(_random_in_sectors(rng, N, L, range(top + 1), (ctx.dim, 2)))
+    cases.append(np.zeros(ctx.dim, dtype=complex))
+    sums = C._digit_sums(N, L)
+    for vec in cases:
+        rows = np.flatnonzero(vec.reshape(ctx.dim, -1).any(axis=1))
+        occupied = set(sums[rows].tolist())
+        for a in range(1, N + 1):
+            for b in range(1, N + 1):
+                got = C.monodromy_element(ctx, lam, a, b).apply(vec)
+                want = _einsum_monodromy(ctx, lam, a, b, vec)
+                assert got.shape == vec.shape
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale
+                reach = np.isin(sums, [n + b - a for n in occupied])
+                assert np.all(got[~reach] == 0)  # exact zeros off target
+        got = C.transfer_matrix(ctx, lam).apply(vec)
+        want = sum(_einsum_monodromy(ctx, lam, a, a, vec)
+                   for a in range(1, N + 1))
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+    if budget == 0:
+        assert ctx._plans == {} and ctx._plan_bytes == 0
+
+
+def test_plans_are_lazy_and_byte_bounded(six, monkeypatch):
+    ctx = C.ChainContext(six, 8)
+    assert ctx._plans == {}  # construction builds no plan
+    vec = np.zeros(ctx.dim, dtype=complex)
+    vec[C.sector_indices(2, 8, 2)] = 1.0
+    C.transfer_matrix(ctx, 0.3 + 0.1j).apply(vec)
+    assert set(ctx._plans) == {(2,), (3,)}  # total charges n + a - 1
+    assert 0 < ctx._plan_bytes <= ctx._PLAN_BYTES
+    # a budget for about one plan: the cache is cleared, never overrun
+    monkeypatch.setattr(C.ChainContext, "_PLAN_BYTES", ctx._plan_bytes)
+    ctx = C.ChainContext(six, 8)
+    for n in range(9):
+        vec = np.zeros(ctx.dim, dtype=complex)
+        vec[C.sector_indices(2, 8, n)] = 1.0
+        C.transfer_matrix(ctx, 0.3 + 0.1j).apply(vec)
+        assert ctx._plan_bytes <= ctx._PLAN_BYTES
+
+
+def test_sector_counts_and_shared_digit_sums():
+    for N, L in [(2, 1), (2, 9), (3, 5), (4, 4), (5, 3)]:
+        sums = C._digit_sums(N, L)
+        assert sums is C._digit_sums(N, L) and not sums.flags.writeable
+        for n in range(-1, (N - 1) * L + 2):
+            assert C.sector_dimension(N, L, n) == len(C.sector_indices(N, L, n))
+
+
+def test_vacuum_eigenvalue_on_two_to_the_twenty_states(six):
+    ctx = C.ChainContext(six, 20)
+    lam = 0.37 + 0.21j
+    ref = C.reference_state(2, 20).amplitudes
+    full = 2 ** 21 * 16  # one complex array over aux (x) chain
+    tracemalloc.start()
+    try:
+        tv = C.transfer_matrix(ctx, lam).apply(ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    total = C.vacuum_weight(ctx, lam, 1) + C.vacuum_weight(ctx, lam, 2)
+    assert abs(tv[0] - total) <= 1e-12 * abs(total)
+    assert np.count_nonzero(tv) == 1
+    # the output vector (half of `full`) plus sector-sized work arrays
+    assert peak < 0.6 * full

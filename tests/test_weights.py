@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,25 @@ def test_cache_stays_within_byte_budget():
                        for w in model._cache.values())
             assert held <= W.ModelSpec.CACHE_BYTES
     assert len(model._cache) == 25  # cleared once on reaching the cap
+
+
+def test_full_cache_memory_stays_within_byte_budget():
+    # measured, not charged: headers, keys and dict slots count as well
+    model = W.six_vertex(ETA)
+    cap = model._cache_cap
+    assert cap > 17888  # above the misses of one N = 2 benchmark unit
+    model.eval_r(0.5, 0.25).dense()
+    model._cache.clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k in range(cap):
+            model.eval_r(complex(k * 1e-4, 0.3), 0.1).dense()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(model._cache) == cap
+    assert held <= W.ModelSpec.CACHE_BYTES
 
 
 DATA = Path(__file__).parent / "data"
