@@ -19,9 +19,16 @@ __all__ = [
     "DENSE_LIMIT", "MAX_CHAIN_DIM", "ChainContext", "ChainOperator",
     "StateVector", "lax", "monodromy_element", "transfer_matrix",
     "reference_state", "vacuum_weight", "spin_z_total", "sector_indices",
+    "transfer_block",
 ]
 
-DENSE_LIMIT = 4096  # largest N^L whose dense form may be requested
+# Largest dimension of a dense matrix that may be requested: the full N^L
+# form of an operator, or one sector block of T(lam) in `exact_spectrum`.
+DENSE_LIMIT = 4096
+
+# Complex numbers (16 B each) per column chunk of `transfer_block`'s work
+# arrays: about 1 MiB, whatever the chain length.
+_BLOCK_CELLS = 2 ** 16
 
 # Largest N^L a ChainContext accepts: an operator application holds its
 # input and output, N^L complex numbers each, plus work arrays sized by the
@@ -233,6 +240,25 @@ class _SectorPlan:
         return partners, slots
 
 
+def _site_weights(ctx, lam):
+    """Per site, the stored ice entries of R(lam, mu_k) plus the zero slot
+    that `_SectorPlan._gate` points padded columns at."""
+    return [np.append(eval_r(ctx.model, lam, mu).values, 0)
+            for mu in ctx.inhomogeneities]
+
+
+def _contract(plan, weights, a, b, seg):
+    """T_{a,b} in plan coordinates: `seg` holds the rows of segment b - 1
+    (aux digit b - 1) times k columns; returns the rows of segment a - 1."""
+    cur = np.zeros((plan.size, seg.shape[1]), dtype=complex)
+    start, stop, _ = plan.segments[b - 1]
+    cur[start:stop] = seg
+    for vals, (partners, slots) in zip(weights, plan.gates()):
+        cur = np.einsum("sc,sck->sk", vals[slots], cur[partners])
+    start, stop, _ = plan.segments[a - 1]
+    return cur[start:stop]
+
+
 def _apply_monodromy_sum(ctx, lam, pairs, vec):
     """sum of T_{a,b}(lam) vec over `pairs`, on a vector or a (N^L, k) batch.
 
@@ -245,17 +271,35 @@ def _apply_monodromy_sum(ctx, lam, pairs, vec):
     if len(rows) == 0:
         return out.reshape(vec.shape)
     sectors = np.flatnonzero(np.bincount(_digit_sums(ctx.N, ctx.L)[rows]))
+    weights = _site_weights(ctx, lam)
     for a, b in pairs:
         plan = ctx._plan(tuple((sectors + (b - 1)).tolist()))
-        cur = np.zeros((plan.size, cols.shape[1]), dtype=complex)
-        start, stop, idx = plan.segments[b - 1]
-        cur[start:stop] = cols[idx]
-        for mu, (partners, slots) in zip(ctx.inhomogeneities, plan.gates()):
-            vals = np.append(eval_r(ctx.model, lam, mu).values, 0)
-            cur = np.einsum("sc,sck->sk", vals[slots], cur[partners])
-        start, stop, idx = plan.segments[a - 1]
-        out[idx] += cur[start:stop]
+        out[plan.segments[a - 1][2]] += _contract(
+            plan, weights, a, b, cols[plan.segments[b - 1][2]])
     return out.reshape(vec.shape)
+
+
+def transfer_block(ctx, lam, n):
+    """The dense block of T(lam) on sector n, rows and columns in the order
+    of `sector_indices`.
+
+    Identity columns go through the contraction in chunks of at most
+    `_BLOCK_CELLS // plan.size` columns, so the work arrays stay near
+    `_BLOCK_CELLS` complex numbers and no array has N^L rows.
+    """
+    require_nonempty_sector(ctx.N, ctx.L, n)
+    dim = sector_dimension(ctx.N, ctx.L, n)
+    weights = _site_weights(ctx, lam)
+    block = np.zeros((dim, dim), dtype=complex)
+    for a in range(1, ctx.N + 1):
+        # total charge n + a - 1: segment a - 1 is sector n, in index order
+        plan = ctx._plan((n + a - 1,))
+        width = max(1, _BLOCK_CELLS // plan.size)
+        for lo in range(0, dim, width):
+            hi = min(lo + width, dim)
+            eye = np.eye(dim, hi - lo, -lo, dtype=complex)  # columns lo..hi-1
+            block[:, lo:hi] += _contract(plan, weights, a, a, eye)
+    return block
 
 
 def reference_state(N, L):

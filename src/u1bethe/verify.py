@@ -19,7 +19,8 @@ import numpy as np
 from . import amplitudes as amp
 from . import bethe as bt
 from .chain import (DENSE_LIMIT, monodromy_element, reference_state,
-                    sector_indices, transfer_matrix, vacuum_weight)
+                    require_nonempty_sector, sector_dimension, transfer_block,
+                    vacuum_weight)
 from .errors import (DegenerateParameters, DimensionTooLarge, IndexOutOfRange,
                      ParameterDomain, Singularity)
 from .weights import charge_block, eval_r, random_point
@@ -56,23 +57,25 @@ def relative_residual(lhs, rhs):
 # dense oracles
 # ----------------------------------------------------------------------
 
-def _sector_block(op, idx):
-    """Rows and columns `idx` of `op`, from one apply to those basis columns."""
-    cols = np.zeros((op.dim, len(idx)), dtype=complex)
-    cols[idx, np.arange(len(idx))] = 1.0
-    return op.apply(cols)[idx]
+def exact_spectrum(ctx, lam, sectors=None):
+    """Eigenvalues of T(lam) per S^z sector, by dense diagonalization.
 
-
-def exact_spectrum(ctx, lam):
-    """Eigenvalues of T(lam) per S^z sector, by dense diagonalization."""
-    if ctx.dim > DENSE_LIMIT:
-        raise DimensionTooLarge(
-            f"dim {ctx.dim} exceeds the dense limit {DENSE_LIMIT}")
-    tmat = transfer_matrix(ctx, lam)
+    Returns (n, sorted eigenvalues) for each sector n in `sectors`, every
+    sector by default.  Every requested sector is checked against
+    `DENSE_LIMIT` before any block is built.
+    """
+    sectors = tuple(range((ctx.N - 1) * ctx.L + 1) if sectors is None
+                    else sectors)
+    for n in sectors:
+        require_nonempty_sector(ctx.N, ctx.L, n)
+        dim = sector_dimension(ctx.N, ctx.L, n)
+        if dim > DENSE_LIMIT:
+            raise DimensionTooLarge(
+                f"sector n={n} has {dim} states, over the dense limit "
+                f"{DENSE_LIMIT}")
     out = []
-    for n in range((ctx.N - 1) * ctx.L + 1):
-        block = _sector_block(tmat, sector_indices(ctx.N, ctx.L, n))
-        evals = np.linalg.eigvals(block)
+    for n in sectors:
+        evals = np.linalg.eigvals(transfer_block(ctx, lam, n))
         out.append((n, np.array(sorted(evals, key=lambda z: (z.real, z.imag)))))
     return out
 

@@ -149,6 +149,24 @@ def test_three_particle_sector_matches_spectrum(ctx3h):
         assert min(abs(pred - ev) for ev in evs) < 1e-8 * max(1.0, abs(pred))
 
 
+@pytest.mark.parametrize("L", [16, 20])
+def test_long_chain_roots_match_sector_ed(six, L):
+    # 2^16 and 2^20 states; sector 2 has 120 and 190
+    ctx = C.ChainContext(six, L, [0.03 * k + 0.01j * k for k in range(1, L + 1)])
+    lam = 0.313 + 0.141j
+    sets = B.solve_bae(ctx, 2, n_seeds=20)
+    assert sets
+    (n, evs), = V.exact_spectrum(ctx, lam, sectors=(2,))
+    assert n == 2 and len(evs) == C.sector_dimension(2, L, 2)
+    matched = set()
+    for rs in sets:
+        pred = B.eigenvalue(ctx, lam, rs)
+        k = int(np.argmin(np.abs(evs - pred)))
+        assert abs(evs[k] - pred) <= 1e-8 * abs(pred)
+        matched.add(k)
+    assert len(matched) == len(sets)  # one distinct state per root set
+
+
 def test_on_shell_weight_product(ctx6):
     # solved two-root sets satisfy prod_j w1(l_j)/w2(l_j) = 1
     for rs in B.solve_bae(ctx6, 2, n_seeds=40):

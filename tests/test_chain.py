@@ -6,7 +6,7 @@ import pytest
 from u1bethe import chain as C
 from u1bethe import verify as V
 from u1bethe import weights as W
-from u1bethe.errors import DimensionTooLarge
+from u1bethe.errors import DimensionTooLarge, EmptySector
 
 from conftest import ETA, points, rng_for
 
@@ -239,8 +239,8 @@ def test_batched_apply_matches_single_applies(fixture, request):
                 1.0, np.max(np.abs(single)))
 
 
-def test_sector_blocks_match_dense_transfer(six, spin1):
-    for model, L in [(six, 4), (spin1, 3)]:
+def test_sector_blocks_match_dense_transfer(six, spin1, spin32):
+    for model, L in [(six, 4), (spin1, 3), (spin32, 3)]:
         ctx = C.ChainContext(model, L)
         lam = 0.19 + 0.23j
         tmat = C.transfer_matrix(ctx, lam)
@@ -248,8 +248,52 @@ def test_sector_blocks_match_dense_transfer(six, spin1):
         scale = max(1.0, np.max(np.abs(dense)))
         for n in range((ctx.N - 1) * ctx.L + 1):
             idx = C.sector_indices(ctx.N, ctx.L, n)
-            block = V._sector_block(tmat, idx)
+            block = C.transfer_block(ctx, lam, n)
             assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) < 1e-14 * scale
+
+
+def _slab_block(ctx, lam, n):
+    """T(lam)'s sector-n block from one full-space apply to an N^L-row slab
+    of that sector's identity columns."""
+    idx = C.sector_indices(ctx.N, ctx.L, n)
+    cols = np.zeros((ctx.dim, len(idx)), dtype=complex)
+    cols[idx, np.arange(len(idx))] = 1.0
+    return C.transfer_matrix(ctx, lam).apply(cols)[idx]
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+@pytest.mark.parametrize("N, L", [(2, 1), (2, 6), (3, 4), (4, 3)])
+def test_sector_blocks_are_bitwise_the_slab_apply(N, L, cells, monkeypatch):
+    # one cell: every chunk is a single column
+    if cells is not None:
+        monkeypatch.setattr(C, "_BLOCK_CELLS", cells)
+    rng = rng_for("block", 10 * N + L)
+    model = W.higher_spin_xxz(N, ETA)
+    ctx = C.ChainContext(model, L, [W.random_point(rng, model.sample_window)
+                                    for _ in range(L)])
+    lam = W.random_point(rng, model.sample_window)
+    for n in range((N - 1) * L + 1):
+        block = C.transfer_block(ctx, lam, n)
+        assert block.tobytes() == _slab_block(ctx, lam, n).tobytes()
+    for n in (-1, (N - 1) * L + 1):
+        with pytest.raises(EmptySector):
+            C.transfer_block(ctx, lam, n)
+
+
+def test_exact_spectrum_memory_is_sector_sized(six):
+    # L=11: the largest sector has 462 states; a slab of its identity
+    # columns over all 2048 states is 15 MB, the block itself 3.4 MB
+    ctx = C.ChainContext(six, 11, [0.05 * k + 0.02j * k for k in range(1, 12)])
+    block = C.sector_dimension(2, 11, 5) ** 2 * 16
+    tracemalloc.start()
+    try:
+        spectrum = V.exact_spectrum(ctx, 0.19 + 0.23j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(evs) for _, evs in spectrum) == ctx.dim
+    # the block, a copy inside eigvals and about 4 MB of chunk work arrays
+    assert peak < 4 * block
 
 
 def test_matrix_free_above_dense_limit(six):

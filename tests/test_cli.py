@@ -107,11 +107,22 @@ def test_solve_n0_trace(six_cfg, tmp_path):
 
 
 def test_solve_spectrum_dimension_guard(tmp_path, capsys):
+    # sector 8 of L=16 has 12,870 states, over the dense limit
     cfg = write(tmp_path / "big.cfg",
-                "model = six_vertex\neta = 0.4375\nL = 13\n")
-    assert run(["solve", "--config", cfg, "--n", "1", "--spectrum",
+                "model = six_vertex\neta = 0.4375\nL = 16\n")
+    assert run(["solve", "--config", cfg, "--n", "8", "--spectrum",
                 "--quiet"]) == 2
     assert "DimensionTooLarge" in capsys.readouterr().err
+
+
+def test_solve_spectrum_on_a_long_chain(tmp_path):
+    # 2^16 states, but sector 2 has 120: only that block is diagonalized
+    cfg = write(tmp_path / "long.cfg",
+                "model = six_vertex\neta = 0.4375\nL = 16\n")
+    out = tmp_path / "s.json"
+    assert run(["solve", "--config", cfg, "--n", "2", "--spectrum",
+                "--out", str(out), "--quiet"]) == 0
+    assert '"spectrum_distance"' in out.read_text()
 
 
 @pytest.mark.parametrize("args", [

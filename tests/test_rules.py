@@ -7,6 +7,7 @@ from u1bethe import amplitudes as A
 from u1bethe import chain as C
 from u1bethe import verify as V
 from u1bethe import weights as W
+from u1bethe.errors import DimensionTooLarge
 
 from conftest import points, rng_for
 
@@ -218,7 +219,10 @@ def test_exact_spectrum_small(six):
 
 
 def test_exact_spectrum_dimension_guard(six):
-    ctx = C.ChainContext(six, 13)
-    with pytest.raises(Exception):
+    # L=16: sector 8 has 12,870 states, over DENSE_LIMIT; refused before
+    # any contraction plan is built
+    ctx = C.ChainContext(six, 16)
+    with pytest.raises(DimensionTooLarge):
         V.exact_spectrum(ctx, 0.3)
+    assert ctx._plans == {}
 
