@@ -209,6 +209,7 @@ def cmd_check_r(model, ctx, opts):
     n = opts.samples
     results = []
     residuals = []
+    kernel = model.kernel
     if model.name == "table":
         keys = [(l, m) for (l, m, _w) in model.table_data]
         uni = [check_unitarity(model, l, m) for (l, m) in keys]
@@ -227,11 +228,21 @@ def cmd_check_r(model, ctx, opts):
         reg = [check_regularity(model, p[0]) for p in pts]
         checks = [("yang_baxter", ybe, pts), ("unitarity", uni, pts),
                   ("regularity", reg, pts)]
+        # a fitted kernel is checked against the solve it replaces, at
+        # every (lambda, mu) pair the rows above evaluated
+        if kernel is not None and kernel.state == "fitted":
+            kern = [max(kernel.difference(a - b) for a, b in
+                        ((l1, l2), (l1, l3), (l2, l3), (l2, l1), (l1, l1)))
+                    for l1, l2, l3 in pts]
+            checks.append(("kernel", kern, pts))
     for name, vals, where in checks:
         worst = int(np.argmax(vals)) if vals else 0
         results.append({"check": name, **_summary(vals),
                         "worst_sample": list(where[worst]) if vals else []})
         residuals.extend(vals)
+    if kernel is not None and kernel.state == "fallback":
+        results.append({"check": "kernel", "fallback":
+                        "rational fit rejected: every evaluation solves"})
     passed = all(r <= opts.tol for r in residuals)
     return results, residuals, passed, None
 

@@ -12,7 +12,8 @@ Built-in families:
   normalized so that R21(l, m) R12(m, l) = I exactly.
 * ``higher_spin_xxz`` -- N >= 3 spin-s weights obtained numerically as the
   (unique up to scale) intertwiner solving the mixed Yang-Baxter relation
-  with the standard U_q(sl2) spin-s Lax operator.  No closed-form weights
+  with the standard U_q(sl2) spin-s Lax operator, and evaluated through a
+  rational fit of that solve (`RationalKernel`).  No closed-form weights
   are transcribed; the Yang-Baxter and unitarity checkers below gate every
   built-in family.
 """
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import IndexOutOfRange, ParameterDomain, UnknownGridPoint
 
 __all__ = [
-    "ModelSpec", "WeightMatrix",
+    "ModelSpec", "WeightMatrix", "RationalKernel",
     "six_vertex", "higher_spin_xxz", "table_model", "custom_model",
     "permutation_model", "eval_r", "check_ice_rule", "check_yang_baxter",
     "check_unitarity", "check_regularity", "charge_block",
@@ -84,11 +85,37 @@ class _Layout:
         arr = np.array(self.keys) - 1
         self.rows = arr[:, 0] * N + arr[:, 1]
         self.cols = arr[:, 2] * N + arr[:, 3]
-        # position of each lexicographic 0-based ice key (the intertwiner
-        # solver's unknown order) in the flat storage
-        self.solver_keys = sorted(tuple(i - 1 for i in key) for key in self.keys)
-        self.solver_slots = np.array(
-            [self.index[tuple(i + 1 for i in key)] for key in self.solver_keys])
+        self.N = N
+
+    @functools.cached_property
+    def intertwiner_plan(self):
+        """Scatter plan of the linear map X -> M1 (I (x) X) - (I (x) X) M2.
+
+        M1 and M2 act on C^2 (x) C^N (x) C^N and conserve the charge
+        alpha + i + j of a state (alpha, i, j), so only equations between
+        states of equal charge can be nonzero: they are the rows, the ice
+        entries of X in storage order the columns.  Returns the row count
+        and (rows, src) of each term: M.flat[src] lands at flat position
+        rows of the (row count, entry count) system, negated for M2.
+        """
+        N, k = self.N, len(self.keys)
+        nn, dim = N * N, 2 * N * N
+        state = np.arange(dim)
+        charge = state // nn + state % nn // N + state % N
+        same = charge[:, None] == charge[None, :]
+        pos = np.full((dim, dim), -1)
+        pos[same] = np.arange(np.count_nonzero(same))
+        rows1, src1, rows2, src2 = [], [], [], []
+        for col, (rs, pq) in enumerate(zip(self.rows, self.cols)):
+            for alpha in (0, 1):
+                r, p = alpha * nn + rs, alpha * nn + pq
+                us = np.flatnonzero(charge == charge[r])
+                rows1.append(pos[us, p] * k + col)  # (M1 (I(x)E))[u, p] = M1[u, r]
+                src1.append(us * dim + r)
+                rows2.append(pos[r, us] * k + col)  # ((I(x)E) M2)[r, v] = M2[p, v]
+                src2.append(p * dim + us)
+        cat = np.concatenate
+        return pos.max() + 1, cat(rows1), cat(src1), cat(rows2), cat(src2)
 
 
 _layout = functools.cache(_Layout)  # one layout per N, built on first use
@@ -214,7 +241,7 @@ class ModelSpec:
     root_window = ((-1.6, 1.6), (-1.7, 1.7))
 
     def __init__(self, name, N, params, eval_fn, table_data=None,
-                 rapidity_period=None):
+                 rapidity_period=None, kernel=None):
         if N < 2:
             raise ParameterDomain(f"N must be >= 2, got {N}")
         self.name = name
@@ -224,6 +251,8 @@ class ModelSpec:
         # weights invariant under lam -> lam + rapidity_period, when set
         self.rapidity_period = rapidity_period
         self.solver_ok = table_data is None  # table models: no free evaluation
+        # the RationalKernel behind eval_fn, for models evaluated through one
+        self.kernel = kernel
         self._eval_fn = eval_fn
         self._cache = {}
         self._cache_cap = max(1, self.CACHE_BYTES // cache_entry_bytes(self.N))
@@ -334,94 +363,175 @@ _INTERTWINER_OFFSETS = (
 )
 
 
-def _intertwiner_columns(N, m1, m2, idx):
-    """Columns of the linear map X -> M1 (I (x) X) - (I (x) X) M2.
+def _intertwiner_system(N, eta, w, offsets):
+    """M1 (I (x) X) = (I (x) X) M2 with M1 = L12(x) L13(x + w) and
+    M2 = L13(x + w) L12(x), one block of rows per x = offset - Re(w) / 2.
 
-    The unknown is restricted to the ice-allowed basis entries `idx`; each
-    column is the ravelled matrix of the commutator-like action on one
-    basis element.
+    The shift balances the two Lax factors: at large |Re w| an unshifted
+    L13 dwarfs L12, and the system's second-smallest singular value falls
+    like exp(-|Re w|) instead of exp(-|Re w| / 2).
     """
-    nn = N * N
-    dim = 2 * nn
-    k = len(idx)
-    arr = np.asarray(idx)
-    rs = arr[:, 0] * N + arr[:, 1]
-    pq = arr[:, 2] * N + arr[:, 3]
-    cols = np.zeros((k, dim, dim), dtype=complex)
-    kk = np.arange(k)[:, None]
-    uu = np.arange(dim)[None, :]
-    for alpha in (0, 1):
-        cols[kk, uu, (alpha * nn + pq)[:, None]] += m1[:, alpha * nn + rs].T
-        cols[kk, (alpha * nn + rs)[:, None], uu] -= m2[alpha * nn + pq, :]
-    return cols.reshape(k, dim * dim).T
-
-
-def _intertwiner_normal_matrix(N, eta, w, offsets, idx):
+    n_rows, rows1, src1, rows2, src2 = _layout(N).intertwiner_plan
     dim = 2 * N * N
     eye_n = np.eye(N)
-    gram = 0.0
-    for x in offsets:
-        lx = _fundamental_lax(N, eta, x)
-        ly = _fundamental_lax(N, eta, x + w)
-        l12 = np.kron(lx, eye_n)
-        t = ly.reshape(2, N, 2, N)
+    out = np.zeros((len(offsets), n_rows * ice_entry_count(N)), dtype=complex)
+    for block, x in zip(out, offsets):
+        x -= w.real / 2
+        l12 = np.kron(_fundamental_lax(N, eta, x), eye_n)
+        t = _fundamental_lax(N, eta, x + w).reshape(2, N, 2, N)
         l13 = np.einsum("ajbq,ip->aijbpq", t, eye_n).reshape(dim, dim)
-        m1 = l12 @ l13
-        m2 = l13 @ l12
-        cols = _intertwiner_columns(N, m1, m2, idx)
-        # an overflow leaves a non-finite Gram matrix; the caller rejects it
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = gram + cols.conj().T @ cols
-    return gram
+        block[rows1] = (l12 @ l13).ravel()[src1]
+        block[rows2] -= (l13 @ l12).ravel()[src2]
+    return out.reshape(-1, ice_entry_count(N))
 
 
 def _solve_intertwiner(N, eta, w):
-    lay = _layout(N)
-    idx = lay.solver_keys  # 0-based ice keys in lexicographic order
+    """R(w) of `higher_spin_xxz`: the stacked system's one-dimensional
+    nullspace, normalized to R_{1,1}^{1,1} = 1.
+
+    The nullspace comes from an SVD of the R factor of a QR of the system,
+    which keeps the system's condition number (a Gram matrix squares it).
+    """
     for offsets in _INTERTWINER_OFFSETS:
-        gram = _intertwiner_normal_matrix(N, eta, w, offsets, idx)
-        if not np.isfinite(gram).all():
+        # an overflow leaves a non-finite system, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            system = _intertwiner_system(N, eta, w, offsets)
+        if not np.isfinite(system).all():
             raise ParameterDomain(
                 f"higher-spin weights overflow at u = {w} (eta = {eta})")
-        evals, evecs = np.linalg.eigh(gram)
-        top = evals[-1]
+        _u, sv, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
+        top = sv[0]
         if top <= 0:
             continue
-        # eigenvalues of the Gram matrix are squared singular values
-        if evals[0] > 1e-12 * top or evals[1] < 1e-9 * top:
+        # squared singular values: the smallest vanishes, the next does not
+        if sv[-1] ** 2 > 1e-12 * top ** 2 or sv[-2] ** 2 < 1e-9 * top ** 2:
             continue  # no one-dimensional nullspace at these offsets
-        vec = evecs[:, 0]
-        norm_pos = idx.index((0, 0, 0, 0))
-        pivot = vec[norm_pos]
+        vec = vh[-1].conj()
+        pivot = vec[0]  # (1,1;1,1) comes first in storage order
         if abs(pivot) < 1e-9 * np.max(np.abs(vec)):
             raise ParameterDomain(
                 f"higher-spin weights degenerate at u = {w}: "
                 "normalizing (1,1;1,1) entry vanishes")
-        vals = np.empty(len(idx), dtype=complex)
-        vals[lay.solver_slots] = vec / pivot
-        return WeightMatrix(N, vals)
+        return WeightMatrix(N, vec / pivot)
     raise ParameterDomain(
         f"higher-spin intertwiner not unique at u = {w} (degenerate point)")
+
+
+# The rational fit samples a ring of points in the sampling window, none
+# on Im u = 0 or pi, where the poles u = -k eta of a real eta sit, and is
+# validated at points out to the |Re u| <= 8 that Newton iterates reach.
+_FIT_RING = np.array([x + 1j * np.pi * (4 * j + 1) / 30
+                      for x in (-1.2, -0.4, 0.4, 1.2) for j in range(15)])
+_FIT_CHECK = (8.0 + 0.3j, -8.0 - 1.1j, 4.6 + 2.1j, -3.7 + 0.6j,
+              2.2 - 2.6j, -1.9 + 1.4j, 0.7 + 0.9j, -0.15 - 0.35j)
+FIT_RTOL = 1e-11  # max |fit - solve| / max |solve| a kept fit reaches
+
+
+def _fit_rational(N, u, entries):
+    """Laurent coefficients of P_k and Q from `entries[m, k]` at `u[m]`.
+
+    Returns a (K, 2N - 1) array, column j the power j - (N - 1) of
+    z = e^u; row k is P_k, and row 0, the (1,1;1,1) entry, is Q.
+    """
+    d = N - 1
+    z = np.exp(u)
+    zmat = z[:, None] ** np.arange(-d, d + 1)
+    zmat /= np.maximum(np.abs(z), 1 / np.abs(z))[:, None] ** d  # rows of max 1
+    basis, tri = np.linalg.qr(zmat)
+    # (I - Pi_Z) diag(E_k) Z, stacked over k: Q spans its nullspace
+    stack = entries.T[:, :, None] * zmat
+    stack -= basis @ (basis.conj().T @ stack)
+    tall = np.linalg.qr(stack.reshape(-1, 2 * d + 1), mode="r")
+    q = np.linalg.svd(tall)[2][-1].conj()
+    # each P_k: least squares Z p_k = diag(E_k) Z q
+    rhs = basis.conj().T @ (entries * (zmat @ q)[:, None])
+    coef = np.linalg.solve(tri, rhs).T
+    coef[0] = q
+    return coef
+
+
+class RationalKernel:
+    """Ice entries of a difference-form model as P_k(z) / Q(z), z = e^u.
+
+    P_k and Q are Laurent polynomials with powers -(N-1)..N-1, and Q is
+    shared: the (1,1;1,1) entry is Q / Q = 1.  The fit runs on the first
+    evaluation, from `solve(u)` on `_FIT_RING`.  It is kept if it agrees
+    with `solve` to FIT_RTOL on `_FIT_CHECK`; otherwise, or if `solve`
+    fails at any of those points, every evaluation calls `solve`.
+    """
+
+    def __init__(self, N, solve):
+        self.N = N
+        self.solve = solve
+        self.state = "unfitted"   # then "fitted" or "fallback"
+        # row k: z^d P_k(z) in powers of z, low powers first (d = N - 1);
+        # reversed, z^-d P_k(z) in powers of 1/z
+        self._coef = self._powers = None
+
+    def __call__(self, u):
+        if self.state == "unfitted":
+            self.fit()
+        if self.state == "fitted":
+            return self.evaluate(u)
+        return self.solve(u)
+
+    def fit(self):
+        self.state = "fallback"
+        try:
+            entries = np.array([self.solve(u).values for u in _FIT_RING])
+            self._coef = _fit_rational(self.N, _FIT_RING, entries)
+            self._powers = np.arange(2 * self.N - 1)
+            worst = max(self.difference(u) for u in _FIT_CHECK)
+        except (ParameterDomain, np.linalg.LinAlgError):
+            worst = np.inf
+        if worst <= FIT_RTOL:
+            self.state = "fitted"
+        else:
+            self._coef = None
+
+    def evaluate(self, u):
+        """The fitted weights at u.  P_k and Q are both scaled by z^-d
+        (Re u > 0) or z^d, which cancels, so only powers of a t = e^-u or
+        e^u with |t| <= 1 are formed."""
+        if u.real > 0:
+            vals = self._coef[:, ::-1] @ cmath.exp(-u) ** self._powers
+        else:
+            vals = self._coef @ cmath.exp(u) ** self._powers
+        q = vals[0]
+        if abs(q) < 1e-9 * np.abs(vals).max():
+            raise ParameterDomain(
+                f"higher-spin weights have a pole at u = {u}: Q(e^u) = 0")
+        vals /= q
+        vals[0] = 1.0
+        return WeightMatrix(self.N, vals)
+
+    def difference(self, u):
+        """max |fit - solve| / max |solve| over the entries at u."""
+        want = self.solve(u).values
+        return float(np.abs(self.evaluate(u).values - want).max()
+                     / np.abs(want).max())
 
 
 def higher_spin_xxz(N=3, eta=0.4375):
     """Spin-s XXZ weights for N = 2s + 1 local states.
 
-    N = 2 reduces to the six-vertex family; for N >= 3 each evaluation
-    solves the mixed Yang-Baxter relation for the unique normalized
-    intertwiner.
+    N = 2 reduces to the six-vertex family.  For N >= 3 the weights are
+    the normalized intertwiner of the mixed Yang-Baxter relation
+    (`_solve_intertwiner`), evaluated through a `RationalKernel` fitted
+    on first use; `model.kernel` holds it.
     """
     eta = _anisotropy(eta)
     if N == 2:
         model = six_vertex(eta)
         model.name = "higher_spin_xxz"
         return model
+    kernel = RationalKernel(N, lambda u: _solve_intertwiner(N, eta, u))
 
     def _eval(lam, mu):
-        return _solve_intertwiner(N, eta, lam - mu)
+        return kernel(lam - mu)
 
     return ModelSpec("higher_spin_xxz", N, {"eta": eta}, _eval,
-                     rapidity_period=1j * np.pi)
+                     rapidity_period=1j * np.pi, kernel=kernel)
 
 
 def permutation_model(N):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -52,7 +53,8 @@ def test_check_r_pass(six_cfg, tmp_path):
 @pytest.mark.parametrize("cfg_name, args", [
     ("six_cfg", ["check-r", "--samples", "10", "--seed", "7"]),
     ("spin1_cfg", ["rules", "--seed", "3"]),
-], ids=["check-r", "rules"])
+    ("spin1_cfg", ["check-r", "--samples", "5", "--seed", "7"]),
+], ids=["check-r", "rules", "check-r-fitted"])
 def test_report_determinism(cfg_name, args, request, tmp_path):
     cfg = request.getfixturevalue(cfg_name)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -69,6 +71,27 @@ def test_seed_changes_report(six_cfg, tmp_path):
     run(["check-r", "--config", six_cfg, "--samples", "10", "--seed", "8",
          "--out", str(b), "--quiet"])
     assert strip_timestamp(a.read_text()) != strip_timestamp(b.read_text())
+
+
+def test_check_r_checks_the_kernel_it_used(six_cfg, spin1_cfg, tmp_path,
+                                           monkeypatch):
+    def rows(cfg):
+        out = tmp_path / "r.json"
+        assert run(["check-r", "--config", cfg, "--samples", "6",
+                    "--out", str(out), "--quiet"]) == 0
+        return {r["check"]: r for r in json.loads(out.read_text())["results"]}
+
+    kernel = rows(spin1_cfg)["kernel"]
+    assert kernel["count"] == 6 and kernel["max"] <= W.FIT_RTOL
+    assert "kernel" not in rows(six_cfg)
+    six = W.six_vertex(ETA)
+    table = tmp_path / "w.tab"
+    W.write_table_file(table, [(0.3 + 0j, 0.3 + 0j, six.eval_r(0.3, 0.3))])
+    table_cfg = write(tmp_path / "t.cfg",
+                      f"model = table\ntable_file = {table}\nL = 2\n")
+    assert "kernel" not in rows(table_cfg)
+    monkeypatch.setattr(W, "FIT_RTOL", 0.0)     # no fit can pass: fallback
+    assert set(rows(spin1_cfg)["kernel"]) == {"check", "fallback"}
 
 
 def test_identities_command(spin1_cfg, tmp_path):
@@ -251,13 +274,15 @@ def test_config_diagnostics(tmp_path, capsys):
             (six, "0", "anisotropy"), (spin1, "0", "anisotropy"),
             (six, "1000", "anisotropy"), (spin1, "1000", "anisotropy"),
             # sinh(eta) is finite, but the weights overflow
-            (six, "709.5", "overflow"), (spin1, "200", "overflow")]:
+            (six, "709.5", "overflow"), (spin1, "300", "overflow"),
+            (spin1, "400", "overflow"), (spin1, "700", "overflow")]:
         cfg = write(tmp_path / "eta.cfg", f"{head}\neta = {eta}\nL = 2\n")
         capsys.readouterr()
         assert run(["check-r", "--config", cfg, "--samples", "3",
                     "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "ParameterDomain" in err and message in err
+        assert "RuntimeWarning" not in err
 
 
 def test_summary_propagates_nan():

@@ -9,7 +9,7 @@ from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import DimensionTooLarge
 
-from conftest import points, rng_for
+from conftest import ETA, points, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -188,11 +188,52 @@ def _rules_text(model):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("name, N", [("spin1", 3), ("spin32", 4)])
-def test_generated_rules_are_pinned(name, N, request):
+def _gram_intertwiner(N, eta, w):
+    """Spin-s weights R(w) by the Gram-matrix nullspace solve the pinned
+    rule files were written with: the eigenvector of the smallest
+    eigenvalue of sum_x C_x^H C_x, C_x the dense system of the mixed
+    Yang-Baxter relation at offset x, normalized to R_{1,1}^{1,1} = 1."""
+    lay = W._layout(N)
+    idx = sorted(tuple(i - 1 for i in key) for key in lay.keys)
+    slots = np.array([lay.index[tuple(i + 1 for i in key)] for key in idx])
+    nn = N * N
+    dim = 2 * nn
+    k = len(idx)
+    arr = np.asarray(idx)
+    rs = arr[:, 0] * N + arr[:, 1]
+    pq = arr[:, 2] * N + arr[:, 3]
+    kk = np.arange(k)[:, None]
+    uu = np.arange(dim)[None, :]
+    eye_n = np.eye(N)
+    for offsets in W._INTERTWINER_OFFSETS:
+        gram = 0.0
+        for x in offsets:
+            l12 = np.kron(W._fundamental_lax(N, eta, x), eye_n)
+            t = W._fundamental_lax(N, eta, x + w).reshape(2, N, 2, N)
+            l13 = np.einsum("ajbq,ip->aijbpq", t, eye_n).reshape(dim, dim)
+            m1, m2 = l12 @ l13, l13 @ l12
+            cols = np.zeros((k, dim, dim), dtype=complex)
+            for alpha in (0, 1):
+                cols[kk, uu, (alpha * nn + pq)[:, None]] += m1[:, alpha * nn + rs].T
+                cols[kk, (alpha * nn + rs)[:, None], uu] -= m2[alpha * nn + pq, :]
+            cols = cols.reshape(k, dim * dim).T
+            gram = gram + cols.conj().T @ cols
+        evals, evecs = np.linalg.eigh(gram)
+        if evals[0] > 1e-12 * evals[-1] or evals[1] < 1e-9 * evals[-1]:
+            continue
+        vec = evecs[:, 0]
+        vals = np.empty(k, dtype=complex)
+        vals[slots] = vec / vec[idx.index((0, 0, 0, 0))]
+        return W.WeightMatrix(N, vals)
+    raise AssertionError(f"no one-dimensional nullspace at u = {w}")
+
+
+@pytest.mark.parametrize("N", [3, 4], ids=["spin1-3", "spin32-4"])
+def test_generated_rules_are_pinned(N):
     # the data files were written by the earlier per-family implementation
-    # of rule generation; every coefficient must come out bit for bit
-    model = request.getfixturevalue(name)
+    # of rule generation, on weights from the Gram-matrix solve; every
+    # coefficient must come out bit for bit
+    model = W.custom_model(N, lambda lam, mu: _gram_intertwiner(N, ETA, lam - mu))
     assert _rules_text(model) == (DATA / f"rules_n{N}.txt").read_text()
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from u1bethe import chain as C
 from u1bethe import weights as W
 from u1bethe.errors import ParameterDomain, UnknownGridPoint
 
@@ -175,6 +176,57 @@ def test_eval_cache_is_exact(spin1):
     w1 = spin1.eval_r(0.37 + 0.21j, -0.11)
     w2 = spin1.eval_r(0.37 + 0.21j, -0.11)
     assert w1 is w2
+
+
+# ----------------------------------------------------------------------
+# the fitted rational kernel of higher_spin_xxz
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_fit_agrees_with_solve(N):
+    # fresh points out to the |Re u| = 8 that Newton iterates reach, far
+    # outside the fitting ring |Re u| <= 1.2; the tolerance is FIT_RTOL
+    model = W.higher_spin_xxz(N, ETA)
+    model.eval_r(0.3, 0.1)
+    assert model.kernel.state == "fitted"
+    rng = rng_for("fit", N)
+    for _ in range(12):
+        u = complex(rng.uniform(-8, 8), rng.uniform(-np.pi, np.pi))
+        assert model.kernel.difference(u) <= W.FIT_RTOL
+
+
+def test_rejected_fit_falls_back_to_the_solve_bitwise(monkeypatch):
+    monkeypatch.setattr(W, "FIT_RTOL", 0.0)
+    model = W.higher_spin_xxz(3, ETA)
+    lam, mu = 0.41 - 0.2j, -0.3 + 0.15j
+    got = model.eval_r(lam, mu).values
+    assert model.kernel.state == "fallback"
+    want = W._solve_intertwiner(3, model.params["eta"], lam - mu).values
+    assert np.array_equal(got, want)
+
+
+def test_model_and_context_run_no_solve(monkeypatch):
+    calls = []
+    solve = W._solve_intertwiner
+    monkeypatch.setattr(W, "_solve_intertwiner",
+                        lambda *args: calls.append(args) or solve(*args))
+    model = W.higher_spin_xxz(4, ETA)
+    C.ChainContext(model, 3, [0.0, 0.05 + 0.02j, -0.1])
+    assert calls == []
+    model.eval_r(0.2, 0.1)          # the first evaluation fits and checks
+    fit_calls = len(W._FIT_RING) + len(W._FIT_CHECK)
+    assert len(calls) == fit_calls
+    model.eval_r(0.7, -0.4j)
+    assert len(calls) == fit_calls
+
+
+def test_pole_of_q_raises():
+    model = W.higher_spin_xxz(3, ETA)
+    model.eval_r(0.2, 0.1)
+    q = model.kernel._coef[0]       # z^d Q(z) in powers of z, low first
+    for z in np.roots(q[::-1]):
+        with pytest.raises(ParameterDomain, match="pole"):
+            model.eval_r(complex(np.log(z)), 0.0)
 
 
 @pytest.mark.parametrize("eta", [0.0, 1j * np.pi, -2j * np.pi, 3e-13])
