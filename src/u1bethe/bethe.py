@@ -26,11 +26,12 @@ __all__ = [
     "RootSet", "BetheState", "OffshellTerm", "build_bethe_vector",
     "bae_residual", "bae_residual_vector", "solve_bae", "eigenvalue",
     "eigenvector_residual", "offshell_expansion", "expansion_for_diagonal",
-    "EIGENVECTOR_TOL",
+    "state_signature", "same_state", "EIGENVECTOR_TOL",
 ]
 
 # an `eigenvector_residual` at or below this makes a built vector an
-# eigenvector: the solver's physical filter and `solve`'s gates read it
+# eigenvector, and a relative eigenvalue difference at or below it makes
+# two root sets one state: the solver and `solve`'s gates read it
 EIGENVECTOR_TOL = 1e-8
 
 
@@ -181,7 +182,8 @@ _EDGE_TOL = 1e-9
 
 
 def _fold_period(roots, period):
-    """Translate each root into the strip [-1/2, 1/2) of the period."""
+    """Translate each root into the strip [-1/2, 1/2) of the period, so
+    that a state's roots print the same whichever seed found it."""
     if period is None:
         return tuple(roots)
     out = []
@@ -191,25 +193,25 @@ def _fold_period(roots, period):
     return tuple(out)
 
 
-def _periodic_distance(a, b, period):
-    if period is None:
-        return abs(a - b)
-    return min(abs(a - b - k * period) for k in (-1, 0, 1))
-
-
-def _same_root_set(r1, r2, period, tol=1e-6):
-    """True if each root of r1 matches a distinct root of r2, in any order."""
-    rest = list(r2.roots)
-    for a in r1.roots:
-        hit = next((k for k, b in enumerate(rest)
-                    if _periodic_distance(a, b, period) < tol), None)
-        if hit is None:
-            return False
-        del rest[hit]
-    return not rest
-
-
+# offsets from the model's regular point at which a state is told apart
+# from others (`state_signature`) and tested for being an eigenvector
 _FILTER_OFFSETS = (0.377 + 0.211j, -0.523 + 0.149j, 0.181 - 0.433j)
+
+
+def state_signature(ctx, roots):
+    """The eigenvalue of `roots` at each filter offset; nan where singular."""
+    sig = []
+    for off in _FILTER_OFFSETS:
+        try:
+            sig.append(eigenvalue(ctx, ctx.model.regular_point + off, roots))
+        except _EVAL_ERRORS:
+            sig.append(complex("nan"))
+    return np.array(sig)
+
+
+def same_state(sig_a, sig_b):
+    """Whether two signatures or eigenvalues are one state's; nan never is."""
+    return amp.relative_residual(sig_a, sig_b) <= EIGENVECTOR_TOL
 
 
 def _is_physical(ctx, rs):
@@ -257,12 +259,12 @@ def _default_seeds(ctx, n, count, seed):
 def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
     """Newton-solve the Bethe equations in the n-particle sector.
 
-    Returns deduplicated converged root sets, each canonically sorted,
-    the list itself ordered lexicographically.  Roots are folded into the
-    fundamental strip of the model's rapidity period, and solutions that
-    fail to build an eigenvector (vanishing-vector runaways standing in
-    for roots at infinity) are dropped.  Completeness is not attempted:
-    only roots reachable from the seeds are reported.
+    Returns one converged root set per state (`same_state` of their
+    signatures), each canonically sorted, the list ordered
+    lexicographically.  Sets that fail to build an eigenvector
+    (vanishing-vector runaways standing in for roots at infinity) are
+    dropped.  Folding roots into the strip of the model's rapidity period
+    only makes them print canonically.  Completeness is not attempted.
     """
     if n == 0:
         return [RootSet(())]
@@ -275,9 +277,9 @@ def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
     if seeds is None:
         seeds = _default_seeds(ctx, n, n_seeds, seed)
     found = []
+    signatures = []  # of the sets in `found`
     best = np.inf
     jac_failures = 0
-    period = ctx.model.rapidity_period
     for s in seeds:
         try:
             x = _newton(ctx, s, tol, max_iter)
@@ -289,15 +291,16 @@ def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
             jac_failures += 1
             continue
         try:
-            rs = RootSet(_fold_period(x, period)).sorted()
+            rs = RootSet(_fold_period(x, ctx.model.rapidity_period)).sorted()
         except Singularity:
             continue  # coincident roots: not an admissible Bethe state
-        if any(_same_root_set(rs, other, period)
-               for other in found if other.n == rs.n):
+        sig = state_signature(ctx, rs)
+        if any(same_state(sig, other) for other in signatures):
             continue
         if not _is_physical(ctx, rs):
             continue
         found.append(rs)
+        signatures.append(sig)
     if not found:
         if explicit and jac_failures == len(seeds):
             raise SingularJacobian("every provided seed hit a singular Jacobian")

@@ -26,8 +26,8 @@ __all__ = [
 # form of an operator, or one sector block of T(lam) in `exact_spectrum`.
 DENSE_LIMIT = 4096
 
-# Complex numbers (16 B each) per column chunk of `transfer_block`'s work
-# arrays: about 1 MiB, whatever the chain length.
+# Complex numbers (16 B each) per column chunk of `transfer_block`'s and
+# `to_matrix`'s work arrays: about 1 MiB, whatever the chain length.
 _BLOCK_CELLS = 2 ** 16
 
 # Largest N^L a ChainContext accepts: an operator application holds its
@@ -103,10 +103,18 @@ class ChainOperator:
         return self._apply_fn(np.asarray(vec, dtype=complex))
 
     def to_matrix(self):
+        """The dense form, from chunks of `_BLOCK_CELLS // N^(L+1)` identity
+        columns: a plan holds at most N^(L+1) states (aux digit and chain)."""
         if self.dim > DENSE_LIMIT:
             raise DimensionTooLarge(
                 f"dense form of a dim-{self.dim} operator was requested")
-        return self.apply(np.eye(self.dim, dtype=complex))
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        width = max(1, _BLOCK_CELLS // (self.N * self.dim))
+        for lo in range(0, self.dim, width):
+            hi = min(lo + width, self.dim)
+            out[:, lo:hi] = self.apply(np.eye(self.dim, hi - lo, -lo,
+                                              dtype=complex))
+        return out
 
 
 class StateVector:

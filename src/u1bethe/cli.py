@@ -17,8 +17,7 @@ from . import amplitudes as amp
 from . import bethe as bt
 from . import verify
 from .chain import ChainContext, monodromy_element
-from .errors import (ConfigError, InvalidOption, NoConvergence,
-                     ParameterDomain, Singularity, U1BetheError,
+from .errors import (ConfigError, InvalidOption, NoConvergence, U1BetheError,
                      UnknownGridPoint)
 from .weights import (check_regularity, check_unitarity, check_yang_baxter,
                       higher_spin_xxz, load_table_file, random_point,
@@ -307,9 +306,8 @@ def cmd_solve(model, ctx, opts):
         if spectrum is not None:
             evs = dict(spectrum)[rs.n]
             pred0 = record["eigenvalues"][0]
-            dist = min(abs(ev - pred0) for ev in evs)
-            record["spectrum_distance"] = dist
-            if not dist / max(abs(pred0), 1e-30) <= bt.EIGENVECTOR_TOL:
+            record["spectrum_distance"] = min(abs(ev - pred0) for ev in evs)
+            if not any(bt.same_state(pred0, ev) for ev in evs):
                 passed = False
         results.append(record)
     return results, residuals, passed, csv_rows
@@ -366,27 +364,20 @@ def cmd_offshell(model, ctx, opts):
 
 def cmd_rules(model, ctx, opts):
     combos = verify.enumerate_rules(model.N)
-    windows = model.sample_window
 
     def one(item):
         k, (family, indices) = item
-        local = np.random.default_rng((opts.seed, k))
-        notes = 0
-        for _attempt in range(10):
-            lam = random_point(local, windows)
-            mu = random_point(local, windows)
-            try:
-                rule = verify.generate_rule(model, family, indices, lam, mu)
-            except (Singularity, ParameterDomain):
-                notes += 1
-                continue
-            res = verify.check_rule_on_lattice(ctx, rule)
+        _, rule, notes = verify.draw_regular(
+            np.random.default_rng((opts.seed, k)), model.sample_window, 2,
+            lambda p: verify.generate_rule(model, family, indices, *p))
+        if rule is None:
             return {"family": family, "indices": dict(indices),
-                    "direct": rule.direct, "terms": len(rule.terms),
-                    "residual": res, "resampled": notes}
+                    "residual": float("inf"), "resampled": notes,
+                    "note": "all sample pairs were singular"}
         return {"family": family, "indices": dict(indices),
-                "residual": float("inf"), "resampled": notes,
-                "note": "all sample pairs were singular"}
+                "direct": rule.direct, "terms": len(rule.terms),
+                "residual": verify.check_rule_on_lattice(ctx, rule),
+                "resampled": notes}
 
     results = [one(item) for item in enumerate(combos)]
     residuals = [r["residual"] for r in results]

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import amplitudes as amp
 from . import bethe as bt
+from .amplitudes import relative_residual
 from .chain import (DENSE_LIMIT, monodromy_element, reference_state,
                     require_nonempty_sector, sector_dimension, transfer_block,
                     vacuum_weight)
@@ -35,22 +36,6 @@ __all__ = [
 ]
 
 _EVAL_ERRORS = (Singularity, ParameterDomain)
-
-
-_SCALARS = (complex, float, int)  # numpy's double scalars subclass these
-
-
-def relative_residual(lhs, rhs):
-    """max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-30), scalars or arrays.
-
-    Builtin `abs` keeps a complex scalar on Python's own modulus, so a
-    scalar residual is exactly abs(lhs - rhs) / max(abs(lhs), abs(rhs)).
-    Scalars skip the reductions, which cost twenty times the arithmetic.
-    """
-    if isinstance(lhs, _SCALARS) and isinstance(rhs, _SCALARS):
-        return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-    return float(np.max(abs(lhs - rhs))
-                 / max(np.max(abs(lhs)), np.max(abs(rhs)), 1e-30))
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +436,8 @@ class IdentityReport:
 
     @property
     def max_residual(self):
-        return max(self.residuals) if self.residuals else 0.0
+        # np.max, unlike max, propagates nan: a nan residual never passes
+        return float(np.max(self.residuals)) if self.residuals else 0.0
 
     @property
     def mean_residual(self):
@@ -678,11 +664,9 @@ def _id_d3d2_continuation(model, pts):
 def _id_charge3_unitarity(model, pts):
     lam, mu = pts
     wlm, wml = eval_r(model, lam, mu), eval_r(model, mu, lam)
-    val = wlm.entry(3, 1, 1, 3) * wml.entry(3, 1, 3, 1) \
-        + wlm.entry(3, 1, 2, 2) * wml.entry(2, 2, 3, 1) \
-        + wlm.entry(3, 1, 3, 1) * wml.entry(1, 3, 3, 1)
-    scale = max(abs(wlm.entry(3, 1, 3, 1) * wml.entry(3, 1, 3, 1)), 1e-30)
-    return abs(val) / scale
+    lhs = wlm.entry(3, 1, 1, 3) * wml.entry(3, 1, 3, 1) \
+        + wlm.entry(3, 1, 2, 2) * wml.entry(2, 2, 3, 1)
+    return relative_residual(lhs, -wlm.entry(3, 1, 3, 1) * wml.entry(1, 3, 3, 1))
 
 
 _IDENTITIES = [
@@ -705,25 +689,24 @@ _IDENTITIES = [
 ]
 
 
-def _run_identity(model, name, n_pts, fn, samples, tol, rng):
-    used = []
-    residuals = []
-    skipped = 0
-    for _ in range(samples):
-        res = None
-        for _attempt in range(10):
-            pts = tuple(random_point(rng, model.sample_window)
-                        for _ in range(n_pts))
-            try:
-                res = float(fn(model, pts))
-                break
-            except _EVAL_ERRORS:
-                continue
-        if res is None:
-            skipped += 1
+def draw_regular(rng, window, n_pts, fn):
+    """(pts, fn(pts), singular draws before) for the first of up to ten
+    draws of `n_pts` points at which `fn` is regular; else (None, None, 10)."""
+    for k in range(10):
+        pts = tuple(random_point(rng, window) for _ in range(n_pts))
+        try:
+            return pts, fn(pts), k
+        except _EVAL_ERRORS:
             continue
-        used.append(pts)
-        residuals.append(res)
+    return None, None, 10
+
+
+def _run_identity(model, name, n_pts, fn, samples, tol, rng):
+    drawn = [draw_regular(rng, model.sample_window, n_pts,
+                          lambda p: float(fn(model, p))) for _ in range(samples)]
+    used = [pts for pts, _, _ in drawn if pts is not None]
+    residuals = [res for pts, res, _ in drawn if pts is not None]
+    skipped = samples - len(used)
     if skipped > 0.2 * samples:
         raise DegenerateParameters(
             f"identity {name}: {skipped}/{samples} samples were singular")

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from u1bethe import amplitudes as A
 from u1bethe import bethe as B
 from u1bethe import chain as C
 from u1bethe import verify as V
+from u1bethe import weights as W
 from u1bethe.errors import EmptySector, NoConvergence, Singularity
 
 from conftest import points, rng_for
@@ -212,10 +215,39 @@ def test_solver_dedup_ignores_root_order(ctx3h):
     assert len(sets) == 1
     x, y = sets[0].roots
     period = ctx3h.model.rapidity_period
-    assert B._same_root_set(B.RootSet((x, y)), B.RootSet((y + period, x)),
-                            period)
-    assert not B._same_root_set(B.RootSet((x, y)), B.RootSet((x, x + 0.1)),
-                                period)
+    sig = B.state_signature(ctx3h, (x, y))
+    assert B.same_state(sig, B.state_signature(ctx3h, (y + period, x)))
+    assert not B.same_state(sig, B.state_signature(ctx3h, (x, x + 0.1)))
+
+
+def test_signature_nan_never_matches(ctx3h):
+    sig = B.state_signature(ctx3h, (0.2 + 0.1j,))
+    bad = sig.copy()
+    bad[1] = complex("nan")
+    assert B.same_state(sig, sig)
+    assert not B.same_state(sig, bad) and not B.same_state(bad, bad)
+
+
+def test_solver_counts_states_of_gauged_weights(spin1):
+    # a spectral gauge, entry x exp(0.3 (lam - mu)(h_a - h_c)) with
+    # h = state - 1, keeps the Yang-Baxter equation but not the rapidity
+    # period: root sets that differ by i pi are one state, returned once
+    def gauged(lam, mu):
+        return {(a, b, c, d): v * cmath.exp(0.3 * (lam - mu) * (a - c))
+                for a, b, c, d, v in spin1.eval_r(lam, mu).items()}
+
+    ctx = C.ChainContext(W.custom_model(3, gauged), 3)
+    lam = 0.313 + 0.141j
+    spectrum = dict(V.exact_spectrum(ctx, lam))
+    for n in (1, 2):
+        sets = B.solve_bae(ctx, n, n_seeds=50)
+        matched = set()
+        for rs in sets:
+            pred = B.eigenvalue(ctx, lam, rs)
+            k = int(np.argmin(np.abs(spectrum[n] - pred)))
+            assert B.same_state(pred, spectrum[n][k])
+            matched.add(k)
+        assert sets and len(matched) == len(sets)  # one state per set
 
 
 def test_strip_edge_is_canonical(ctx3h):

@@ -280,6 +280,33 @@ def test_sector_blocks_are_bitwise_the_slab_apply(N, L, cells, monkeypatch):
             C.transfer_block(ctx, lam, n)
 
 
+@pytest.mark.parametrize("cells", [None, 1])
+@pytest.mark.parametrize("N, L", [(2, 6), (3, 4), (4, 3)])
+def test_to_matrix_is_bitwise_the_identity_apply(N, L, cells, monkeypatch):
+    if cells is not None:
+        monkeypatch.setattr(C, "_BLOCK_CELLS", cells)
+    model = W.higher_spin_xxz(N, ETA)
+    ctx = C.ChainContext(model, L, [0.03 * k + 0.01j * k for k in range(L)])
+    for op in (C.transfer_matrix(ctx, 0.31 + 0.12j),
+               C.monodromy_element(ctx, -0.2 + 0.4j, 1, 2),
+               C.monodromy_element(ctx, 0.1 - 0.3j, N, 1)):
+        whole = op.apply(np.eye(ctx.dim, dtype=complex))
+        assert op.to_matrix().tobytes() == whole.tobytes()
+
+
+def test_to_matrix_memory_is_result_sized(six):
+    ctx = C.ChainContext(six, 10)
+    tracemalloc.start()
+    try:
+        dense = C.transfer_matrix(ctx, 0.19 + 0.23j).to_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 16 MB result, the contraction plans (3.4 MB) and about 5 MB of
+    # chunk work arrays; a single identity apply peaked at 193 MB
+    assert peak < 1.75 * dense.nbytes
+
+
 def test_exact_spectrum_memory_is_sector_sized(six):
     # L=11: the largest sector has 462 states; a slab of its identity
     # columns over all 2048 states is 15 MB, the block itself 3.4 MB

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from u1bethe import amplitudes as A
 from u1bethe import chain as C
 from u1bethe import verify as V
+from u1bethe import weights as W
 from u1bethe.errors import DegenerateParameters, Singularity
 
 from conftest import rng_for
@@ -32,6 +34,39 @@ def test_amplitude_properties(fixture, request):
     model = request.getfixturevalue(fixture)
     for rep in V.amplitude_property_suite(model, samples=15, tol=1e-9):
         assert rep.passed, repr(rep)
+
+
+def _charge3_row(model, seed):
+    rep, = V.identity_suite(model, samples=6, tol=1e-10, seed=seed,
+                            names={"charge3_unitarity_row"})
+    return rep
+
+
+def test_charge3_row_is_relative_to_its_terms(spin32):
+    # `identities --samples 6 --seed 62` on an N=4 chain draws a pair at
+    # which the product R_31^31(l, m) R_31^31(m, l) is 5.7e-7 while the
+    # row's largest term is 7.6e-4; divided by that product alone, the
+    # 7e-16 rounding of the sum read 1.2e-9
+    rep = _charge3_row(spin32, 62)
+    assert rep.passed, repr(rep)
+    assert min(abs(W.eval_r(spin32, l, m).entry(3, 1, 3, 1)
+                   * W.eval_r(spin32, m, l).entry(3, 1, 3, 1))
+               for l, m in rep.samples) < 1e-6
+
+
+def test_charge3_row_detects_a_perturbed_entry(spin32):
+    def perturbed(lam, mu):
+        got = {(a, b, c, d): v
+               for a, b, c, d, v in spin32.eval_r(lam, mu).items()}
+        got[(3, 1, 2, 2)] *= 1 + 1e-6
+        return got
+
+    assert not _charge3_row(W.custom_model(4, perturbed), 62).passed
+
+
+def test_nan_residual_never_passes():
+    rep = V.IdentityReport("x", [], [1e-12, float("nan")], 0, 1e-9)
+    assert np.isnan(rep.max_residual) and not rep.passed
 
 
 def test_degenerate_parameters_policy(six):
@@ -90,6 +125,7 @@ def test_relative_residual_scalars_and_arrays():
         old = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
         assert V.relative_residual(lhs, rhs) == old      # bit for bit
     assert V.relative_residual(0j, 0j) == 0.0
+    assert V.relative_residual is A.relative_residual  # one implementation
     lhs = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     rhs = lhs + 1e-9 * rng.standard_normal(7)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)

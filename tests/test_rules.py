@@ -230,11 +230,21 @@ def _gram_intertwiner(N, eta, w):
 
 @pytest.mark.parametrize("N", [3, 4], ids=["spin1-3", "spin32-4"])
 def test_generated_rules_are_pinned(N):
-    # the data files were written by the earlier per-family implementation
+    # the rule files were written by the earlier per-family implementation
     # of rule generation, on weights from the Gram-matrix solve; every
-    # coefficient must come out bit for bit
-    model = W.custom_model(N, lambda lam, mu: _gram_intertwiner(N, ETA, lam - mu))
+    # coefficient must come out bit for bit.  Those weights are stored,
+    # at every pair the rules evaluate, because the solve's last bits
+    # depend on the BLAS thread count
+    model = W.load_table_file(DATA / f"gram_weights_n{N}.tab")
     assert _rules_text(model) == (DATA / f"rules_n{N}.txt").read_text()
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_stored_gram_weights_match_a_fresh_solve(N):
+    for lam, mu, w in W.load_table_file(
+            DATA / f"gram_weights_n{N}.tab").table_data:
+        fresh = _gram_intertwiner(N, ETA, lam - mu)
+        assert V.relative_residual(w.values, fresh.values) <= 1e-12
 
 
 def test_rule_term_determinism(spin1):
