@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import IndexOutOfRange, Singularity
-from .weights import eval_r
+from .weights import eval_r, relative_residual, worst_residual
 
 __all__ = [
     "AmplitudeKey", "AmplitudeCache", "MIN_ROOT_SEPARATION",
@@ -27,27 +27,12 @@ __all__ = [
     "det_D2", "det_D3", "det_D4", "det_D5", "det_D4_cont", "det_D5_cont",
     "P_a", "Pbar_a", "F_offshell", "F2_closed", "H_function",
     "g_coefficient", "ratio_11_21", "scattering", "exchange_product",
-    "require_distinct", "relative_residual",
+    "require_distinct", "relative_residual", "worst_residual",
 ]
 
 MIN_ROOT_SEPARATION = 1e-8
 
 PIVOT_RTOL = 1e-14  # pivot below PIVOT_RTOL * max|entry| raises Singularity
-
-_SCALARS = (complex, float, int)  # numpy's double scalars subclass these
-
-
-def relative_residual(lhs, rhs):
-    """max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-30), scalars or arrays.
-
-    Builtin `abs` keeps a complex scalar on Python's own modulus, so a
-    scalar residual is exactly abs(lhs - rhs) / max(abs(lhs), abs(rhs)).
-    Scalars skip the reductions, which cost twenty times the arithmetic.
-    """
-    if isinstance(lhs, _SCALARS) and isinstance(rhs, _SCALARS):
-        return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-    return float(np.max(abs(lhs - rhs))
-                 / max(np.max(abs(lhs)), np.max(abs(rhs)), 1e-30))
 
 
 @dataclass(frozen=True)

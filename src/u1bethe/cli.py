@@ -177,11 +177,8 @@ def render_report(report):
 
 def _summary(residuals):
     residuals = [float(r) for r in residuals]
-    if not residuals:
-        return {"max": 0.0, "mean": 0.0, "count": 0}
-    # np.max, unlike max, propagates nan: a nan residual is never hidden
-    return {"max": float(np.max(residuals)),
-            "mean": float(np.mean(residuals)),
+    return {"max": amp.worst_residual(residuals),
+            "mean": float(np.mean(residuals)) if residuals else 0.0,
             "count": len(residuals)}
 
 
@@ -230,9 +227,10 @@ def cmd_check_r(model, ctx, opts):
         # a fitted kernel is checked against the solve it replaces, at
         # every (lambda, mu) pair the rows above evaluated
         if kernel is not None and kernel.state == "fitted":
-            kern = [max(kernel.difference(a - b) for a, b in
-                        ((l1, l2), (l1, l3), (l2, l3), (l2, l1), (l1, l1)))
-                    for l1, l2, l3 in pts]
+            kern = [amp.worst_residual(
+                [kernel.difference(a - b) for a, b in
+                 ((l1, l2), (l1, l3), (l2, l3), (l2, l1), (l1, l1))])
+                for l1, l2, l3 in pts]
             checks.append(("kernel", kern, pts))
     for name, vals, where in checks:
         worst = int(np.argmax(vals)) if vals else 0
@@ -291,10 +289,10 @@ def cmd_solve(model, ctx, opts):
         return results, [], False, csv_rows
     passed = True
     for rs in sets:
-        bres = max((abs(bt.bae_residual(ctx, rs.roots, j))
-                    for j in range(1, rs.n + 1)), default=0.0)
+        bres = amp.worst_residual([abs(bt.bae_residual(ctx, rs.roots, j))
+                                   for j in range(1, rs.n + 1)])
         record = {"roots": list(rs.roots),
-                  "bae_residual": float(bres),
+                  "bae_residual": bres,
                   "eigenvalues": [bt.eigenvalue(ctx, lam, rs)
                                   for lam in lams]}
         state = bt.build_bethe_vector(ctx, rs)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import amplitudes as amp
 from . import bethe as bt
-from .amplitudes import relative_residual
+from .amplitudes import relative_residual, worst_residual
 from .chain import (DENSE_LIMIT, monodromy_element, reference_state,
                     require_nonempty_sector, sector_dimension, transfer_block,
                     vacuum_weight)
@@ -419,7 +419,8 @@ def check_rule_on_lattice(ctx, rule, trials=3):
     rv = np.zeros_like(lv)
     for t in rule.terms:
         rv += t.coeff * product(t.left, t.right, vecs)
-    return max(relative_residual(lv[:, k], rv[:, k]) for k in range(trials))
+    return worst_residual([relative_residual(lv[:, k], rv[:, k])
+                           for k in range(trials)])
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +437,7 @@ class IdentityReport:
 
     @property
     def max_residual(self):
-        # np.max, unlike max, propagates nan: a nan residual never passes
-        return float(np.max(self.residuals)) if self.residuals else 0.0
+        return worst_residual(self.residuals)
 
     @property
     def mean_residual(self):
@@ -457,13 +457,9 @@ class IdentityReport:
 def _id_block_unitarity(model, pts):
     lam, mu = pts
     wlm, wml = eval_r(model, lam, mu), eval_r(model, mu, lam)
-    worst = 0.0
-    for j in (1, 2):
-        for q1 in range(1, model.N + 1):
-            u = charge_block(wlm, j, q1) @ charge_block(wml, j, q1) \
-                - np.eye(q1)
-            worst = max(worst, float(np.max(np.abs(u))))
-    return worst
+    return [float(np.max(np.abs(
+        charge_block(wlm, j, q1) @ charge_block(wml, j, q1) - np.eye(q1))))
+        for j in (1, 2) for q1 in range(1, model.N + 1)]
 
 
 def _id_swap_ratio(model, pts):
@@ -520,7 +516,7 @@ def _id_block_det_exchange(model, pts):
     lam, mu = pts
     N = model.N
     det = amp.det_guarded
-    worst = 0.0
+    res = []
     for j in (1, 2):
         for i in range(1, N - 1):
             wa = charge_block(eval_r(model, lam, mu), j, i + 2)
@@ -541,13 +537,13 @@ def _id_block_det_exchange(model, pts):
             r2 = amp._div(
                 det([[ab[r, c] for c in cols_num] for r in range(i - 1)]),
                 det([[ab[r, c] for c in cols_den] for r in range(i)]))
-            worst = max(worst, relative_residual(lhs, (-1) ** i * r1 * r2))
-    return worst
+            res.append(relative_residual(lhs, (-1) ** i * r1 * r2))
+    return res
 
 
 def _id_d3_over_d2(model, pts):
     lam, mu = pts
-    worst = 0.0
+    res = []
     for i in range(2, model.N - 1):
         lhs = amp._div(amp.det_D3(model, i, 0, lam, mu),
                        amp.det_D2(model, i, 0, lam, mu))
@@ -555,20 +551,20 @@ def _id_d3_over_d2(model, pts):
                        amp.det_D4(model, i + 1, 3, lam, mu)) \
             * amp._div(amp.det_D4(model, i + 2, 4, lam, mu),
                        amp.det_D4(model, i + 2, 3, lam, mu))
-        worst = max(worst, relative_residual(lhs, rhs))
-    return worst
+        res.append(relative_residual(lhs, rhs))
+    return res
 
 
 def _id_d2_to_d5d4(model, pts):
     lam, mu = pts
-    worst = 0.0
+    res = []
     for i in range(1, model.N - 1):
         lhs = amp._div(amp.det_D2(model, i + 1, 1, lam, mu),
                        amp.det_D2(model, i + 1, 0, lam, mu))
         rhs = -amp._div(amp.det_D5(model, i + 2, lam, mu),
                         amp.det_D4(model, i + 2, 3, lam, mu))
-        worst = max(worst, relative_residual(lhs, rhs))
-    return worst
+        res.append(relative_residual(lhs, rhs))
+    return res
 
 
 def _id_ybe_triple_low(model, pts):
@@ -624,13 +620,10 @@ def _wanted_assembly_residual(model, a, cont, lam, l1, l2):
 
 def _id_wanted_assembly(model, pts):
     lam, l1, l2 = pts
-    worst = 0.0
-    for a in range(2, model.N - 1):
-        worst = max(worst,
-                    _wanted_assembly_residual(model, a, False, lam, l1, l2))
-    worst = max(worst, _wanted_assembly_residual(model, model.N - 1, True,
-                                                 lam, l1, l2))
-    return worst
+    N = model.N
+    # the top index a = N - 1 takes the continued determinants
+    return [_wanted_assembly_residual(model, a, a == N - 1, lam, l1, l2)
+            for a in range(2, N)]
 
 
 def _id_d5d4_continuation(model, pts):
@@ -703,7 +696,8 @@ def draw_regular(rng, window, n_pts, fn):
 
 def _run_identity(model, name, n_pts, fn, samples, tol, rng):
     drawn = [draw_regular(rng, model.sample_window, n_pts,
-                          lambda p: float(fn(model, p))) for _ in range(samples)]
+                          lambda p: worst_residual(fn(model, p)))
+             for _ in range(samples)]
     used = [pts for pts, _, _ in drawn if pts is not None]
     residuals = [res for pts, res, _ in drawn if pts is not None]
     skipped = samples - len(used)
@@ -713,6 +707,15 @@ def _run_identity(model, name, n_pts, fn, samples, tol, rng):
     return IdentityReport(name, used, residuals, skipped, tol)
 
 
+def _run_table(model, table, stream, samples, tol, seed, names=None):
+    """One report per entry of `table` applicable at the model's N (and
+    named in `names`, if given); entry k draws from rng (seed, stream + k)."""
+    return [_run_identity(model, name, n_pts, fn, samples, tol,
+                          np.random.default_rng((seed, stream + k)))
+            for k, (name, n_pts, min_n, fn) in enumerate(table)
+            if model.N >= min_n and (names is None or name in names)]
+
+
 def identity_suite(model, samples=50, tol=1e-9, seed=42, names=None):
     """Check every weight identity applicable at the model's N.
 
@@ -720,15 +723,7 @@ def identity_suite(model, samples=50, tol=1e-9, seed=42, names=None):
     is sampled at random non-singular points (singular draws are
     resampled up to ten times, then counted as skips).  `names`
     restricts the run to a subset of identity ids."""
-    reports = []
-    for k, (name, n_pts, min_n, fn) in enumerate(_IDENTITIES):
-        if model.N < min_n:
-            continue
-        if names is not None and name not in names:
-            continue
-        rng = np.random.default_rng((seed, k))
-        reports.append(_run_identity(model, name, n_pts, fn, samples, tol, rng))
-    return reports
+    return _run_table(model, _IDENTITIES, 0, samples, tol, seed, names)
 
 
 # ----------------------------------------------------------------------
@@ -742,68 +737,50 @@ def _ap_exchange_inverse(model, pts):
 
 def _ap_one_particle_sum(model, pts):
     lam, mu = pts
-    worst = 0.0
-    for a in range(1, model.N):
-        worst = max(worst, abs(amp.F_offshell(model, 0, 1, a, lam, (mu,))
-                               + amp.F_offshell(model, 1, 1, a, lam, (mu,))))
-    return worst
+    return [abs(amp.F_offshell(model, 0, 1, a, lam, (mu,))
+                + amp.F_offshell(model, 1, 1, a, lam, (mu,)))
+            for a in range(1, model.N)]
 
 
 def _ap_f2_exchange(model, pts):
     lam, l1, l2 = pts
     th = amp.theta(model, l1, l2)
-    worst = 0.0
-    for a in range(1, model.N - 1):
-        for c in (0, 2):
-            lhs = amp.F_offshell(model, c, 2, a, lam, (l1, l2))
-            rhs = th * amp.F_offshell(model, c, 2, a, lam, (l2, l1))
-            worst = max(worst, relative_residual(lhs, rhs))
-    return worst
+    return [relative_residual(
+        amp.F_offshell(model, c, 2, a, lam, (l1, l2)),
+        th * amp.F_offshell(model, c, 2, a, lam, (l2, l1)))
+        for a in range(1, model.N - 1) for c in (0, 2)]
 
 
 def _ap_f2_closed(model, pts):
     lam, l1, l2 = pts
-    worst = 0.0
-    for a in range(1, model.N - 1):
-        for c in (0, 2):
-            rec = amp.F_offshell(model, c, 2, a, lam, (l1, l2))
-            clo = amp.F2_closed(model, c, a, lam, l1, l2)
-            worst = max(worst, relative_residual(rec, clo))
-    return worst
+    return [relative_residual(amp.F_offshell(model, c, 2, a, lam, (l1, l2)),
+                              amp.F2_closed(model, c, a, lam, l1, l2))
+            for a in range(1, model.N - 1) for c in (0, 2)]
 
 
 def _ap_pbar(model, pts):
     lam, l1, l2 = pts
-    worst = 0.0
-    for a in range(1, model.N + 1):
-        worst = max(worst, relative_residual(
-            amp.Pbar_a(model, a, lam, l1, l2), amp.P_a(model, a, lam, l2)))
-    return worst
+    return [relative_residual(amp.Pbar_a(model, a, lam, l1, l2),
+                              amp.P_a(model, a, lam, l2))
+            for a in range(1, model.N + 1)]
 
 
 def _ap_h_exchange(model, pts):
     lam, l1, l2 = pts
     th = amp.theta(model, l1, l2)
-    worst = 0.0
-    for a in range(1, model.N):
-        lhs = amp.H_function(model, 0, 1, a, lam, l1, l2, tag=2)
-        rhs = th * amp.H_function(model, 0, 1, a, lam, l2, l1, tag=1)
-        worst = max(worst, relative_residual(lhs, rhs))
-    for a in range(1, model.N - 1):
-        lhs = amp.H_function(model, 1, 1, a, lam, l1, l2, tag=2)
-        rhs = th * amp.H_function(model, 1, 1, a, lam, l2, l1, tag=1)
-        worst = max(worst, relative_residual(lhs, rhs))
-    return worst
+    # channel c = 1 stops one index short of c = 0
+    return [relative_residual(
+        amp.H_function(model, c, 1, a, lam, l1, l2, tag=2),
+        th * amp.H_function(model, c, 1, a, lam, l2, l1, tag=1))
+        for c in (0, 1) for a in range(1, model.N - c)]
 
 
 def _ap_h_equals_f(model, pts):
     lam, l1, l2 = pts
-    worst = 0.0
-    for a in range(1, model.N - 1):
-        lhs = amp.H_function(model, 1, 2, a, lam, l1, l2, tag=1)
-        rhs = amp.F_offshell(model, 1, 2, a, lam, (l1, l2))
-        worst = max(worst, relative_residual(lhs, rhs))
-    return worst
+    return [relative_residual(
+        amp.H_function(model, 1, 2, a, lam, l1, l2, tag=1),
+        amp.F_offshell(model, 1, 2, a, lam, (l1, l2)))
+        for a in range(1, model.N - 1)]
 
 
 _AMPLITUDE_PROPERTIES = [
@@ -818,13 +795,7 @@ _AMPLITUDE_PROPERTIES = [
 
 
 def amplitude_property_suite(model, samples=50, tol=1e-9, seed=42):
-    reports = []
-    for k, (name, n_pts, min_n, fn) in enumerate(_AMPLITUDE_PROPERTIES):
-        if model.N < min_n:
-            continue
-        rng = np.random.default_rng((seed, 1000 + k))
-        reports.append(_run_identity(model, name, n_pts, fn, samples, tol, rng))
-    return reports
+    return _run_table(model, _AMPLITUDE_PROPERTIES, 1000, samples, tol, seed)
 
 
 # ----------------------------------------------------------------------

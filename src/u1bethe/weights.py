@@ -32,6 +32,7 @@ __all__ = [
     "permutation_model", "eval_r", "check_ice_rule", "check_yang_baxter",
     "check_unitarity", "check_regularity", "charge_block",
     "load_table_file", "write_table_file", "random_point",
+    "relative_residual", "worst_residual",
 ]
 
 
@@ -56,6 +57,32 @@ def _anisotropy(eta):
             f"anisotropy eta = {eta!r} is too large: sinh(eta) overflows"
         ) from None
     return eta
+
+
+_SCALARS = (complex, float, int)  # numpy's double scalars subclass these
+
+
+def relative_residual(lhs, rhs):
+    """max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-30), scalars or arrays.
+
+    Builtin `abs` keeps a complex scalar on Python's own modulus, so a
+    scalar residual is exactly abs(lhs - rhs) / max(abs(lhs), abs(rhs)).
+    Scalars skip the reductions, which cost twenty times the arithmetic.
+    """
+    if isinstance(lhs, _SCALARS) and isinstance(rhs, _SCALARS):
+        return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
+    return float(np.max(abs(lhs - rhs))
+                 / max(np.max(abs(lhs)), np.max(abs(rhs)), 1e-30))
+
+
+def worst_residual(residuals):
+    """The largest of `residuals` (one number or a sequence), 0.0 if none.
+
+    Every check takes its worst case here.  np.max, unlike builtin max,
+    propagates nan, so a nan anywhere makes the worst case nan, and nan
+    fails every `<= tol` and `< tol` gate.
+    """
+    return float(np.max(residuals, initial=0.0))
 
 
 def block_range(N, q):
@@ -385,6 +412,17 @@ def _intertwiner_system(N, eta, w, offsets):
     return out.reshape(-1, ice_entry_count(N))
 
 
+def _solve_bytes(N):
+    """Bytes a weight solve holds at its peak, to within 15%: the system,
+    two blocks of 2N(4N^2 - 1)/3 rows (the pairs of equal-charge states)
+    by the ice entries, and the copy its QR takes."""
+    rows = 2 * N * (4 * N * N - 1) // 3
+    return 4 * rows * ice_entry_count(N) * 16
+
+
+_SOLVE_BYTES = 64 * 2 ** 20  # byte budget of one weight solve: N <= 9
+
+
 def _solve_intertwiner(N, eta, w):
     """R(w) of `higher_spin_xxz`: the stacked system's one-dimensional
     nullspace, normalized to R_{1,1}^{1,1} = 1.
@@ -481,7 +519,7 @@ class RationalKernel:
             entries = np.array([self.solve(u).values for u in _FIT_RING])
             self._coef = _fit_rational(self.N, _FIT_RING, entries)
             self._powers = np.arange(2 * self.N - 1)
-            worst = max(self.difference(u) for u in _FIT_CHECK)
+            worst = worst_residual([self.difference(u) for u in _FIT_CHECK])
         except (ParameterDomain, np.linalg.LinAlgError):
             worst = np.inf
         if worst <= FIT_RTOL:
@@ -525,6 +563,11 @@ def higher_spin_xxz(N=3, eta=0.4375):
         model = six_vertex(eta)
         model.name = "higher_spin_xxz"
         return model
+    if _solve_bytes(N) > _SOLVE_BYTES:
+        raise ParameterDomain(
+            f"higher_spin_xxz N = {N} needs {_solve_bytes(N) / 2 ** 20:.0f} "
+            f"MiB per weight solve, over the {_SOLVE_BYTES // 2 ** 20} MiB "
+            "budget")
     kernel = RationalKernel(N, lambda u: _solve_intertwiner(N, eta, u))
 
     def _eval(lam, mu):

@@ -31,3 +31,19 @@ def rng_for(name, salt=0):
     # crc32, not hash(): string hashing is salted per process and would
     # make the sampled test points differ from run to run
     return np.random.default_rng((zlib.crc32(name.encode()), salt))
+
+
+def nan_every(monkeypatch, owner, attr, k, when=lambda *args: True):
+    """Make owner.attr return nan on every k-th call for which
+    `when(*args)` holds (the k-th, 2k-th, ... such call)."""
+    real = getattr(owner, attr)
+    count = [0]
+
+    def patched(*args):
+        if when(*args):
+            count[0] += 1
+            if count[0] % k == 0:
+                return float("nan")
+        return real(*args)
+
+    monkeypatch.setattr(owner, attr, patched)

@@ -15,6 +15,7 @@ from u1bethe import bethe as B
 from u1bethe import chain as C
 from u1bethe import verify as V
 from u1bethe import weights as W
+from u1bethe.amplitudes import worst_residual
 from u1bethe.errors import NoConvergence
 
 from conftest import points, rng_for
@@ -28,13 +29,14 @@ def report(num, ok, detail):
 
 def test_criterion_1_r_matrix_gates(six, spin1):
     t0 = time.perf_counter()
-    worst = 0.0
+    res = []
     for model in (six, spin1):
         rng = rng_for("acc1", model.N)
         for _ in range(100):
             l1, l2, l3 = points(model, rng, 3)
-            worst = max(worst, W.check_yang_baxter(model, l1, l2, l3))
-            worst = max(worst, W.check_unitarity(model, l1, l2))
+            res.append(W.check_yang_baxter(model, l1, l2, l3))
+            res.append(W.check_unitarity(model, l1, l2))
+    worst = worst_residual(res)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0
     report(1, ok, f"YBE/unitarity gates, 100 samples each for N=2 and N=3: "
@@ -43,8 +45,7 @@ def test_criterion_1_r_matrix_gates(six, spin1):
 
 def test_criterion_2_identity_suite(six, spin1, spin32):
     t0 = time.perf_counter()
-    worst = 0.0
-    count = 0
+    res = []
     failed = []
     # N in {2, 3} per the criterion; the identities whose indices are
     # gated off below N = 4 additionally run there, non-vacuously
@@ -54,10 +55,10 @@ def test_criterion_2_identity_suite(six, spin1, spin32):
     runs = [(six, None), (spin1, None), (spin32, gated)]
     for model, names in runs:
         for rep in V.identity_suite(model, samples=50, tol=1e-9, names=names):
-            count += 1
-            worst = max(worst, rep.max_residual)
+            res.append(rep.max_residual)
             if not rep.passed:
                 failed.append((model.N, rep.identity_id))
+    count, worst = len(res), worst_residual(res)
     elapsed = time.perf_counter() - t0
     ok = not failed and worst < 1e-9 and elapsed < 30.0
     report(2, ok, f"weight-identity suite, {count} identity runs at 50 "
@@ -67,8 +68,7 @@ def test_criterion_2_identity_suite(six, spin1, spin32):
 
 def test_criterion_3_commutation_rules(six, spin1):
     t0 = time.perf_counter()
-    worst = 0.0
-    checked = 0
+    res = []
     for model in (six, spin1):
         ctx = C.ChainContext(model, 2)
         rng = rng_for("acc3", model.N)
@@ -76,8 +76,8 @@ def test_criterion_3_commutation_rules(six, spin1):
             for _pair in range(3):
                 lam, mu = points(model, rng, 2)
                 rule = V.generate_rule(model, family, indices, lam, mu)
-                worst = max(worst, V.check_rule_on_lattice(ctx, rule, trials=2))
-                checked += 1
+                res.append(V.check_rule_on_lattice(ctx, rule, trials=2))
+    checked, worst = len(res), worst_residual(res)
     counts_ok = all(V.creation_rule_counts(n) == V.table3_counts(n)
                     for n in (2, 3, 4, 5, 6))
     elapsed = time.perf_counter() - t0
@@ -90,9 +90,7 @@ def test_criterion_3_commutation_rules(six, spin1):
 def test_criterion_4_on_shell_spectrum(six, spin1):
     t0 = time.perf_counter()
     lam0 = 0.313 + 0.141j
-    worst_match = 0.0
-    worst_vec = 0.0
-    found = 0
+    matches, vecs = [], []
     for model, lengths, seeds in [(six, (2, 4), 40), (spin1, (2, 3), 30)]:
         rng = rng_for("acc4", model.N)
         for L in lengths:
@@ -104,15 +102,14 @@ def test_criterion_4_on_shell_spectrum(six, spin1):
                 except NoConvergence:
                     continue
                 for rs in sets:
-                    found += 1
                     pred = B.eigenvalue(ctx, lam0, rs)
                     dist = min(abs(pred - ev) for ev in spectrum[n])
-                    worst_match = max(worst_match,
-                                      dist / max(abs(pred), 1e-30))
+                    matches.append(dist / max(abs(pred), 1e-30))
                     for _ in range(5):
                         lam = points(model, rng, 1)[0]
-                        worst_vec = max(worst_vec,
-                                        V.eigenstate_residual(ctx, lam, rs))
+                        vecs.append(V.eigenstate_residual(ctx, lam, rs))
+    found = len(matches)
+    worst_match, worst_vec = worst_residual(matches), worst_residual(vecs)
     elapsed = time.perf_counter() - t0
     ok = (found >= 10 and worst_match < 1e-8 and worst_vec < 1e-8
           and elapsed < 120.0)
@@ -125,7 +122,7 @@ def test_criterion_5_offshell_expansion(spin1):
     ctx = C.ChainContext(spin1, 3)
     rng = rng_for("acc5")
     cache = A.AmplitudeCache()
-    worst = 0.0
+    res = []
     for n in (1, 2, 3):
         roots = points(spin1, rng, n)
         st = B.build_bethe_vector(ctx, roots, cache)
@@ -138,7 +135,8 @@ def test_criterion_5_offshell_expansion(spin1):
             direct = C.monodromy_element(ctx, 0.29 + 0.17j, a, a).apply(
                 st.vector.amplitudes)
             scale = max(np.max(np.abs(direct)), 1e-30)
-            worst = max(worst, float(np.max(np.abs(direct - pred)) / scale))
+            res.append(float(np.max(np.abs(direct - pred)) / scale))
+    worst = worst_residual(res)
     # at solved roots the summed unwanted part cancels
     sets = B.solve_bae(ctx, 2, n_seeds=30, tol=1e-12)
     wanted, terms = B.offshell_expansion(ctx, 0.29 + 0.17j, sets[0].roots)
@@ -153,18 +151,18 @@ def test_criterion_5_offshell_expansion(spin1):
 
 
 def test_criterion_6_exchange_symmetry(six, spin1):
-    worst_theta = 0.0
+    thetas = []
     for model in (six, spin1):
         rng = rng_for("acc6t", model.N)
         for _ in range(100):
             lam, mu = points(model, rng, 2)
-            worst_theta = max(worst_theta,
-                              abs(A.theta(model, lam, mu)
-                                  * A.theta(model, mu, lam) - 1.0))
+            thetas.append(abs(A.theta(model, lam, mu)
+                              * A.theta(model, mu, lam) - 1.0))
+    worst_theta = worst_residual(thetas)
     ctx = C.ChainContext(spin1, 3)
     cache = A.AmplitudeCache()
     rng = rng_for("acc6v")
-    worst_vec = 0.0
+    vecs = []
     for n in (2, 3):
         roots = points(spin1, rng, n)
         base = B.build_bethe_vector(ctx, roots, cache).vector.amplitudes
@@ -174,10 +172,10 @@ def test_criterion_6_exchange_symmetry(six, spin1):
             vs = B.build_bethe_vector(ctx, tuple(swapped),
                                       cache).vector.amplitudes
             th = A.theta(spin1, roots[j], roots[j + 1])
-            worst_vec = max(worst_vec,
-                            float(np.max(np.abs(base - th * vs))
-                                  / np.max(np.abs(base))))
-    worst4 = 0.0
+            vecs.append(float(np.max(np.abs(base - th * vs))
+                              / np.max(np.abs(base))))
+    worst_vec = worst_residual(vecs)
+    vecs4 = []
     for _ in range(5):
         roots = points(spin1, rng, 4)
         base = B.build_bethe_vector(ctx, roots, cache).vector.amplitudes
@@ -187,8 +185,9 @@ def test_criterion_6_exchange_symmetry(six, spin1):
             vs = B.build_bethe_vector(ctx, tuple(swapped),
                                       cache).vector.amplitudes
             th = A.theta(spin1, roots[j], roots[j + 1])
-            worst4 = max(worst4, float(np.max(np.abs(base - th * vs))
-                                       / np.max(np.abs(base))))
+            vecs4.append(float(np.max(np.abs(base - th * vs))
+                               / np.max(np.abs(base))))
+    worst4 = worst_residual(vecs4)
     ok = worst_theta < 1e-12 and worst_vec < 1e-10 and worst4 < 1e-10
     report(6, ok, f"exchange symmetry: theta inverse {worst_theta:.3e} "
                   f"(tol 1e-12), vectors n<=3 {worst_vec:.3e} and n=4 "
@@ -196,7 +195,7 @@ def test_criterion_6_exchange_symmetry(six, spin1):
 
 
 def test_criterion_7_appendix_operator_identities(spin1, spin32):
-    worst_ops = 0.0
+    ops = []
     kill_exact = True
     for model in (spin1, spin32):
         ctx = C.ChainContext(model, 2)
@@ -206,8 +205,9 @@ def test_criterion_7_appendix_operator_identities(spin1, spin32):
             if rep.identity_id == "high_annihilator_kills_phi2":
                 kill_exact = kill_exact and rep.max_residual == 0.0
             else:
-                worst_ops = max(worst_ops, rep.max_residual)
-    worst_pbar = 0.0
+                ops.append(rep.max_residual)
+    worst_ops = worst_residual(ops)
+    pbars = []
     for model in (spin1, spin32):
         rng = rng_for("acc7", model.N)
         for _ in range(50):
@@ -215,8 +215,8 @@ def test_criterion_7_appendix_operator_identities(spin1, spin32):
             for a in range(1, model.N + 1):
                 pb = A.Pbar_a(model, a, lam, l1, l2)
                 p = A.P_a(model, a, lam, l2)
-                worst_pbar = max(worst_pbar,
-                                 abs(pb - p) / max(abs(p), 1e-30))
+                pbars.append(abs(pb - p) / max(abs(p), 1e-30))
+    worst_pbar = worst_residual(pbars)
     ok = kill_exact and worst_ops < 1e-9 and worst_pbar < 1e-10
     report(7, ok, f"annihilator action: spin-drop>=3 kill exact: "
                   f"{kill_exact}; closed forms {worst_ops:.3e} (tol 1e-9); "
@@ -224,7 +224,7 @@ def test_criterion_7_appendix_operator_identities(spin1, spin32):
 
 
 def test_criterion_8_f2_cross_form(spin1, spin32):
-    worst = 0.0
+    res = []
     for model in (spin1, spin32):
         rng = rng_for("acc8", model.N)
         cache = A.AmplitudeCache()
@@ -234,7 +234,8 @@ def test_criterion_8_f2_cross_form(spin1, spin32):
                 for c in (0, 2):
                     rec = A.F_offshell(model, c, 2, a, lam, (l1, l2), cache)
                     clo = A.F2_closed(model, c, a, lam, l1, l2)
-                    worst = max(worst, abs(rec - clo) / max(abs(clo), 1e-30))
+                    res.append(abs(rec - clo) / max(abs(clo), 1e-30))
+    worst = worst_residual(res)
     ok = worst < 1e-10
     report(8, ok, f"recursive vs closed two-root amplitudes, 50 samples "
                   f"(N=3 and N=4), all branches: max relative {worst:.3e} "

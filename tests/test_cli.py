@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from u1bethe import cli
+from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import ConfigError, U1BetheError
 
-from conftest import ETA
+from conftest import ETA, nan_every
 
 
 def write(path, text):
@@ -288,6 +289,59 @@ def test_config_diagnostics(tmp_path, capsys):
 def test_summary_propagates_nan():
     summary = cli._summary([0.5, float("nan")])
     assert summary["max"] != summary["max"] and summary["count"] == 2
+
+
+def _results(path):
+    return json.loads(path.read_text())["results"]
+
+
+def test_nan_identity_residual_exits_1(tmp_path, monkeypatch):
+    cfg = write(tmp_path / "s32.cfg", "model = higher_spin_xxz\nN = 4\n"
+                "eta = 0.4375\nL = 2\n")
+    out = tmp_path / "id.json"
+    args = ["identities", "--config", cfg, "--samples", "2", "--out",
+            str(out), "--quiet"]
+    assert run(args) == 0
+    # wanted_term_assembly takes a = 2, then the top index a = 3 (continued)
+    real = V._wanted_assembly_residual
+    monkeypatch.setattr(
+        V, "_wanted_assembly_residual",
+        lambda model, a, cont, *pts: (float("nan") if cont
+                                      else real(model, a, cont, *pts)))
+    assert run(args) == 1
+    failed = [r["identity"] for r in _results(out) if not r["pass"]]
+    assert failed == ["wanted_term_assembly"]
+
+
+def test_nan_rule_trial_exits_1(spin1_cfg, tmp_path, monkeypatch):
+    out = tmp_path / "rules.json"
+    nan_every(monkeypatch, V, "relative_residual", 3)  # each rule's last trial
+    assert run(["rules", "--config", spin1_cfg, "--out", str(out),
+                "--quiet"]) == 1
+    assert all(r["residual"] == "nan" for r in _results(out)[:-1])
+
+
+def test_nan_kernel_difference_fails_check_r(spin1_cfg, tmp_path,
+                                             monkeypatch):
+    # once fitted, the fifth pair of every sample's row reads nan
+    nan_every(monkeypatch, W.RationalKernel, "difference", 5,
+              when=lambda kernel, u: kernel.state == "fitted")
+    out = tmp_path / "r.json"
+    assert run(["check-r", "--config", spin1_cfg, "--samples", "3",
+                "--out", str(out), "--quiet"]) == 1
+    rows = {r["check"]: r for r in _results(out)}
+    assert rows["kernel"]["max"] == "nan"
+    assert rows["yang_baxter"]["max"] <= 1e-10
+
+
+def test_large_n_exits_2(tmp_path, capsys):
+    # checked first, so that code without the bound never runs this solve
+    assert W._solve_bytes(20) > 100 * W._SOLVE_BYTES
+    cfg = write(tmp_path / "n20.cfg",
+                "model = higher_spin_xxz\nN = 20\neta = 0.4375\nL = 2\n")
+    assert run(["check-r", "--config", cfg, "--samples", "1",
+                "--quiet"]) == 2
+    assert "ParameterDomain" in capsys.readouterr().err
 
 
 def test_nonfinite_inhomogeneity_exits_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import DegenerateParameters, Singularity
 
-from conftest import rng_for
+from conftest import nan_every, rng_for
 
 
 @pytest.mark.parametrize("fixture,expected_min", [("six", 2), ("spin1", 12),
@@ -67,6 +67,27 @@ def test_charge3_row_detects_a_perturbed_entry(spin32):
 def test_nan_residual_never_passes():
     rep = V.IdentityReport("x", [], [1e-12, float("nan")], 0, 1e-9)
     assert np.isnan(rep.max_residual) and not rep.passed
+
+
+def test_nan_in_a_looped_identity_fails(spin32, monkeypatch):
+    # each of these identities takes several residuals per sample; every
+    # second one is nan, never the first of a sample
+    names = {"block_det_exchange", "d2_ratio_to_d5d4", "wanted_term_assembly"}
+    nan_every(monkeypatch, V, "relative_residual", 2)
+    reports = V.identity_suite(spin32, samples=1, names=names)
+    assert {rep.identity_id for rep in reports} == names
+    for rep in reports:
+        assert np.isnan(rep.max_residual) and not rep.passed, repr(rep)
+
+
+def test_nan_in_an_amplitude_property_fails(spin32, monkeypatch):
+    nan_every(monkeypatch, V, "relative_residual", 2)
+    failed = {rep.identity_id for rep in
+              V.amplitude_property_suite(spin32, samples=1) if not rep.passed}
+    # every property built on relative_residual; the other two take abs
+    assert failed == {"f2_exchange_symmetry", "f2_closed_vs_recursive",
+                      "pbar_equals_p", "h_exchange_consistency",
+                      "h_equals_f_identification"}
 
 
 def test_degenerate_parameters_policy(six):

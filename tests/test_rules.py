@@ -9,7 +9,7 @@ from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import DimensionTooLarge
 
-from conftest import ETA, points, rng_for
+from conftest import ETA, nan_every, points, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +277,11 @@ def test_exact_spectrum_dimension_guard(six):
         V.exact_spectrum(ctx, 0.3)
     assert ctx._plans == {}
 
+
+
+def test_nan_trial_fails_the_lattice_check(spin1, lattice3, monkeypatch):
+    rule = V.generate_rule(spin1, "diag_creation", {"a": 2, "b": 3},
+                           0.31 + 0.12j, -0.17 + 0.38j)
+    assert V.check_rule_on_lattice(lattice3, rule) <= 1e-10
+    nan_every(monkeypatch, V, "relative_residual", 2)   # the second trial
+    assert np.isnan(V.check_rule_on_lattice(lattice3, rule, trials=3))

@@ -8,7 +8,7 @@ from u1bethe import chain as C
 from u1bethe import weights as W
 from u1bethe.errors import ParameterDomain, UnknownGridPoint
 
-from conftest import ETA, points, rng_for
+from conftest import ETA, nan_every, points, rng_for
 
 
 def test_ice_rule_structural(six):
@@ -203,6 +203,40 @@ def test_rejected_fit_falls_back_to_the_solve_bitwise(monkeypatch):
     assert model.kernel.state == "fallback"
     want = W._solve_intertwiner(3, model.params["eta"], lam - mu).values
     assert np.array_equal(got, want)
+
+
+def test_nan_at_a_check_point_rejects_the_fit(monkeypatch):
+    nan_every(monkeypatch, W.RationalKernel, "difference", 3)
+    kernel = W.higher_spin_xxz(3, ETA).kernel
+    kernel.fit()                     # the third check point reads nan
+    assert kernel.state == "fallback"
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_solve_bytes_bound_a_solve(N):
+    rows = W._layout(N).intertwiner_plan[0]
+    assert W._solve_bytes(N) == 4 * 16 * rows * W.ice_entry_count(N)
+    W._solve_intertwiner(N, ETA, 0.3 + 0.1j)
+    tracemalloc.start()
+    try:
+        W._solve_intertwiner(N, ETA, 0.3 + 0.1j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W._solve_bytes(N) <= peak <= 1.15 * W._solve_bytes(N)
+
+
+def test_large_n_refused_before_any_allocation():
+    assert W._solve_bytes(9) <= W._SOLVE_BYTES < W._solve_bytes(10)
+    W.higher_spin_xxz(9, ETA)        # accepted; nothing is solved yet
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterDomain, match="MiB per weight solve"):
+            W.higher_spin_xxz(20, ETA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_model_and_context_run_no_solve(monkeypatch):
