@@ -93,7 +93,7 @@ def det_guarded(mat):
 
 def _div(num, den):
     if den == 0 or abs(den) < 1e-14 * max(1.0, abs(num)):
-        raise Singularity(f"denominator {den!r} vanishes")
+        raise Singularity(f"denominator {complex(den)} vanishes")
     return num / den
 
 

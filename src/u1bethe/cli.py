@@ -8,6 +8,7 @@ timestamp field is the only run-dependent entry).
 """
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
 
@@ -46,21 +47,24 @@ def parse_config(path):
     raw = {}
     lines = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, text in enumerate(fh, start=1):
-            stripped = text.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError("expected 'key = value'", ln)
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise ConfigError("empty key or value", ln)
-            if key in raw:
-                raise ConfigError(f"duplicate key {key!r}", ln)
-            raw[key] = value
-            lines[key] = ln
+        try:
+            for ln, text in enumerate(fh, start=1):
+                stripped = text.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise ConfigError("expected 'key = value'", ln)
+                key, _, value = stripped.partition("=")
+                key = key.strip()
+                value = value.strip()
+                if not key or not value:
+                    raise ConfigError("empty key or value", ln)
+                if key in raw:
+                    raise ConfigError(f"duplicate key {key!r}", ln)
+                raw[key] = value
+                lines[key] = ln
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path} is not UTF-8 text: {err}") from None
     return raw, lines
 
 
@@ -75,7 +79,7 @@ def build_model(raw, lines):
             raise ConfigError("table model needs 'table_file'", line)
         try:
             return load_table_file(path)
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read table file: {err}",
                               lines.get("table_file", line)) from None
     if name == "custom":
@@ -225,10 +229,12 @@ def cmd_check_r(model, ctx, opts):
         checks = [("yang_baxter", ybe, pts), ("unitarity", uni, pts),
                   ("regularity", reg, pts)]
         # a fitted kernel is checked against the solve it replaces, at
-        # every (lambda, mu) pair the rows above evaluated
+        # every (lambda, mu) pair the rows above evaluated; each distinct
+        # u = lambda - mu is solved once (u = 0 recurs in every sample)
         if kernel is not None and kernel.state == "fitted":
+            difference = functools.cache(kernel.difference)
             kern = [amp.worst_residual(
-                [kernel.difference(a - b) for a, b in
+                [difference(a - b) for a, b in
                  ((l1, l2), (l1, l3), (l2, l3), (l2, l1), (l1, l1))])
                 for l1, l2, l3 in pts]
             checks.append(("kernel", kern, pts))
@@ -450,18 +456,22 @@ def main(argv=None):
     parser = _build_parser()
     opts = parser.parse_args(argv)
     try:
-        _check_options(opts)
-        raw, lines = parse_config(opts.config)
-        model = build_model(raw, lines)
-        ctx = build_context(model, raw, lines)
-        results, residuals, passed, csv_rows = run_command(
-            opts.command, model, ctx, opts)
-    except FileNotFoundError as err:
+        return _run(opts)
+    except OSError as err:  # a file that cannot be opened, read or written
         print(f"error: {err}", file=sys.stderr)
         return 2
     except U1BetheError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
+
+
+def _run(opts):
+    _check_options(opts)
+    raw, lines = parse_config(opts.config)
+    model = build_model(raw, lines)
+    ctx = build_context(model, raw, lines)
+    results, residuals, passed, csv_rows = run_command(
+        opts.command, model, ctx, opts)
     # echo the options that shape the results; pure I/O switches stay out
     # so that identical runs give byte-identical reports wherever written
     echoed = {k: v for k, v in sorted(vars(opts).items())

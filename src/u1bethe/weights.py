@@ -550,13 +550,27 @@ class RationalKernel:
                      / np.abs(want).max())
 
 
+@functools.lru_cache(maxsize=16)  # a kernel holds at most 133 KB (N = 9)
+def _shared_kernel(N, eta_repr):
+    """The one `RationalKernel` of every `higher_spin_xxz(N, eta)` model
+    in the process, unfitted until its first evaluation.
+
+    Keyed by repr(eta), which round-trips exactly, not by eta: -0.0 ==
+    0.0, yet the sign of a zero part of eta can change the weights (it
+    picks the branch of a square root in the Lax operator).
+    """
+    eta = complex(eta_repr)
+    return RationalKernel(N, lambda u: _solve_intertwiner(N, eta, u))
+
+
 def higher_spin_xxz(N=3, eta=0.4375):
     """Spin-s XXZ weights for N = 2s + 1 local states.
 
     N = 2 reduces to the six-vertex family.  For N >= 3 the weights are
     the normalized intertwiner of the mixed Yang-Baxter relation
     (`_solve_intertwiner`), evaluated through a `RationalKernel` fitted
-    on first use; `model.kernel` holds it.
+    on first use; `model.kernel` holds it.  Every model of one (N, eta)
+    shares that kernel, so a process fits each (N, eta) once.
     """
     eta = _anisotropy(eta)
     if N == 2:
@@ -568,7 +582,7 @@ def higher_spin_xxz(N=3, eta=0.4375):
             f"higher_spin_xxz N = {N} needs {_solve_bytes(N) / 2 ** 20:.0f} "
             f"MiB per weight solve, over the {_SOLVE_BYTES // 2 ** 20} MiB "
             "budget")
-    kernel = RationalKernel(N, lambda u: _solve_intertwiner(N, eta, u))
+    kernel = _shared_kernel(N, repr(eta))
 
     def _eval(lam, mu):
         return kernel(lam - mu)

@@ -8,6 +8,13 @@ from u1bethe import weights as W
 ETA = 0.4375
 
 
+@pytest.fixture(autouse=True)
+def no_fitted_kernels():
+    # higher_spin_xxz models of one (N, eta) share a kernel for the whole
+    # process; each test starts with none fitted and none fallen back
+    W._shared_kernel.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def six():
     return W.six_vertex(ETA)
@@ -47,3 +54,12 @@ def nan_every(monkeypatch, owner, attr, k, when=lambda *args: True):
         return real(*args)
 
     monkeypatch.setattr(owner, attr, patched)
+
+
+def count_solves(monkeypatch):
+    """A list that gains one entry per `_solve_intertwiner` call."""
+    calls = []
+    solve = W._solve_intertwiner
+    monkeypatch.setattr(W, "_solve_intertwiner",
+                        lambda *args: calls.append(args) or solve(*args))
+    return calls

@@ -11,7 +11,7 @@ from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import ConfigError, U1BetheError
 
-from conftest import ETA, nan_every
+from conftest import ETA, count_solves, nan_every
 
 
 def write(path, text):
@@ -51,15 +51,22 @@ def test_check_r_pass(six_cfg, tmp_path):
     assert '"check": "yang_baxter"' in text
 
 
-@pytest.mark.parametrize("cfg_name, args", [
-    ("six_cfg", ["check-r", "--samples", "10", "--seed", "7"]),
-    ("spin1_cfg", ["rules", "--seed", "3"]),
-    ("spin1_cfg", ["check-r", "--samples", "5", "--seed", "7"]),
-], ids=["check-r", "rules", "check-r-fitted"])
-def test_report_determinism(cfg_name, args, request, tmp_path):
+@pytest.mark.parametrize("cfg_name, args, warmup", [
+    ("six_cfg", ["check-r", "--samples", "10", "--seed", "7"], None),
+    ("spin1_cfg", ["rules", "--seed", "3"], None),
+    ("spin1_cfg", ["check-r", "--samples", "5", "--seed", "7"], None),
+    ("spin1_cfg", ["check-r", "--samples", "5", "--seed", "7"],
+     ["rules", "--seed", "3"]),
+], ids=["check-r", "rules", "check-r-fitted", "check-r-after-rules"])
+def test_report_determinism(cfg_name, args, warmup, request, tmp_path):
+    # a is written with no kernel fitted; b with the kernel that a fitted
+    # or, given a `warmup` command, with a fresh one that it fitted
     cfg = request.getfixturevalue(cfg_name)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
+        if warmup and path == b:
+            W._shared_kernel.cache_clear()
+            assert run(warmup + ["--config", cfg, "--quiet"]) == 0
         assert run(args + ["--config", cfg, "--out", str(path),
                            "--quiet"]) == 0
     assert strip_timestamp(a.read_text()) == strip_timestamp(b.read_text())
@@ -92,7 +99,24 @@ def test_check_r_checks_the_kernel_it_used(six_cfg, spin1_cfg, tmp_path,
                       f"model = table\ntable_file = {table}\nL = 2\n")
     assert "kernel" not in rows(table_cfg)
     monkeypatch.setattr(W, "FIT_RTOL", 0.0)     # no fit can pass: fallback
+    W._shared_kernel.cache_clear()              # drop the kernel fitted above
     assert set(rows(spin1_cfg)["kernel"]) == {"check", "fallback"}
+
+
+def test_commands_share_one_fit(tmp_path, monkeypatch):
+    # the fit (68 solves) runs once for the four commands, and check-r's
+    # kernel row solves each distinct u once: 4 per sample, plus u = 0
+    cfg = write(tmp_path / "n4.cfg",
+                "model = higher_spin_xxz\nN = 4\neta = 0.4375\nL = 2\n"
+                "inhomogeneities = [0.0, 0.05+0.02j]\n")
+    calls = count_solves(monkeypatch)
+    samples = 3
+    for args in (["check-r", "--samples", str(samples)],
+                 ["identities", "--samples", "2"], ["rules", "--tol", "5e-10"],
+                 ["offshell", "--n", "2"]):
+        assert run(args + ["--config", cfg, "--quiet"]) == 0
+    fit = len(W._FIT_RING) + len(W._FIT_CHECK)
+    assert len(calls) == fit + 4 * samples + 1
 
 
 def test_identities_command(spin1_cfg, tmp_path):
@@ -364,6 +388,33 @@ def test_table_file_errors_located(tmp_path, capsys, body, line):
     assert run(["check-r", "--config", cfg, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "ParameterDomain" in err and f"{table}:{line}:" in err
+
+
+@pytest.mark.parametrize("case", ["config-is-dir", "config-not-utf8",
+                                  "table-not-utf8", "out-dir-missing",
+                                  "csv-dir-missing"])
+def test_file_errors_exit_2(case, six_cfg, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    args = ["check-r", "--config", six_cfg, "--samples", "2"]
+    if case == "config-is-dir":
+        args[2] = str(tmp_path)
+    elif case == "config-not-utf8":
+        (tmp_path / "bad.cfg").write_bytes(b"model = six_vertex\nL = \xff\n")
+        args[2] = str(tmp_path / "bad.cfg")
+    elif case == "table-not-utf8":
+        (tmp_path / "w.tab").write_bytes(b"# \xff\n")
+        args[2] = write(tmp_path / "t.cfg", f"model = table\ntable_file = "
+                        f"{tmp_path / 'w.tab'}\nL = 2\n")
+    elif case == "out-dir-missing":
+        args += ["--out", str(missing / "r.json")]
+    else:
+        args = ["solve", "--config", six_cfg, "--n", "1", "--spectrum",
+                "--csv", str(missing / "s.csv"), "--quiet"]
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _ANY_VALUE = st.one_of(

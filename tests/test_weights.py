@@ -8,7 +8,7 @@ from u1bethe import chain as C
 from u1bethe import weights as W
 from u1bethe.errors import ParameterDomain, UnknownGridPoint
 
-from conftest import ETA, nan_every, points, rng_for
+from conftest import ETA, count_solves, nan_every, points, rng_for
 
 
 def test_ice_rule_structural(six):
@@ -240,10 +240,7 @@ def test_large_n_refused_before_any_allocation():
 
 
 def test_model_and_context_run_no_solve(monkeypatch):
-    calls = []
-    solve = W._solve_intertwiner
-    monkeypatch.setattr(W, "_solve_intertwiner",
-                        lambda *args: calls.append(args) or solve(*args))
+    calls = count_solves(monkeypatch)
     model = W.higher_spin_xxz(4, ETA)
     C.ChainContext(model, 3, [0.0, 0.05 + 0.02j, -0.1])
     assert calls == []
@@ -252,6 +249,41 @@ def test_model_and_context_run_no_solve(monkeypatch):
     assert len(calls) == fit_calls
     model.eval_r(0.7, -0.4j)
     assert len(calls) == fit_calls
+
+
+def test_models_of_one_n_and_eta_share_one_fit(monkeypatch):
+    calls = count_solves(monkeypatch)
+    a, b = W.higher_spin_xxz(4, ETA), W.higher_spin_xxz(4, ETA)
+    assert a.kernel is b.kernel
+    a.eval_r(0.2, 0.1)
+    b.eval_r(0.7, -0.4j)
+    assert len(calls) == len(W._FIT_RING) + len(W._FIT_CHECK)
+    assert a.kernel.state == "fitted"
+    others = [W.higher_spin_xxz(4, ETA + 0.1), W.higher_spin_xxz(3, ETA)]
+    assert all(m.kernel is not a.kernel for m in others)
+    assert others[0].kernel.state == "unfitted"
+
+
+def test_shared_kernels_tell_apart_the_sign_of_a_zero_eta_part():
+    # -0.0 == 0.0, yet the two etas give weights with some signs flipped
+    etas = complex(0.0, -1.3), complex(-0.0, -1.3)
+    kernels = [W.higher_spin_xxz(4, eta).kernel for eta in etas]
+    assert kernels[0] is not kernels[1]
+    u = 0.3 + 0.1j
+    want = [W._solve_intertwiner(4, eta, u).values for eta in etas]
+    assert not np.array_equal(want[0], want[1])
+    for kernel, w in zip(kernels, want):
+        assert kernel.solve(u).values.tobytes() == w.tobytes()
+
+
+def test_shared_kernels_are_bounded():
+    size = W._shared_kernel.cache_info().maxsize
+    for k in range(size + 5):
+        W.higher_spin_xxz(3, ETA + 0.01 * k)
+    assert W._shared_kernel.cache_info().currsize == size
+    first = W.higher_spin_xxz(3, ETA).kernel          # evicted: a new one
+    assert W._shared_kernel.cache_info().misses == size + 6
+    assert first is W.higher_spin_xxz(3, ETA).kernel
 
 
 def test_pole_of_q_raises():
