@@ -8,7 +8,8 @@ timestamp field is the only run-dependent entry).
 """
 
 import argparse
-import functools
+import errno
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -229,14 +230,16 @@ def cmd_check_r(model, ctx, opts):
         checks = [("yang_baxter", ybe, pts), ("unitarity", uni, pts),
                   ("regularity", reg, pts)]
         # a fitted kernel is checked against the solve it replaces, at
-        # every (lambda, mu) pair the rows above evaluated; each distinct
-        # u = lambda - mu is solved once (u = 0 recurs in every sample)
+        # every (lambda, mu) pair the rows above evaluated; the distinct
+        # u = lambda - mu are solved in one call (u = 0 recurs in every
+        # sample)
         if kernel is not None and kernel.state == "fitted":
-            difference = functools.cache(kernel.difference)
-            kern = [amp.worst_residual(
-                [difference(a - b) for a, b in
-                 ((l1, l2), (l1, l3), (l2, l3), (l2, l1), (l1, l1))])
-                for l1, l2, l3 in pts]
+            us = [(l1 - l2, l1 - l3, l2 - l3, l2 - l1, l1 - l1)
+                  for l1, l2, l3 in pts]
+            distinct = list(dict.fromkeys(u for five in us for u in five))
+            difference = dict(zip(distinct, kernel.differences(distinct)))
+            kern = [amp.worst_residual([difference[u] for u in five])
+                    for five in us]
             checks.append(("kernel", kern, pts))
     for name, vals, where in checks:
         worst = int(np.argmax(vals)) if vals else 0
@@ -465,8 +468,23 @@ def main(argv=None):
         return 2
 
 
+def _check_output_path(path):
+    """Raise the OSError that writing `path` would raise because its
+    folder is missing or it is a folder itself, creating nothing."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                folder)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _run(opts):
     _check_options(opts)
+    # checked before the run, so that an unusable path costs no work
+    for path in (opts.out, getattr(opts, "csv", None)):
+        if path:
+            _check_output_path(path)
     raw, lines = parse_config(opts.config)
     model = build_model(raw, lines)
     ctx = build_context(model, raw, lines)

@@ -362,24 +362,28 @@ def _qbracket(x, eta):
 def _fundamental_lax(N, eta, u):
     """Lax operator on C^2 (x) C^N built from the U_q(sl2) spin-s generators.
 
-    Returns a 2N x 2N array indexed [(alpha, i), (beta, j)] with alpha the
-    auxiliary output; for N = 2 this is the raw six-vertex R-matrix.
+    Returns an array of shape shape(u) + (2N, 2N), one Lax operator per
+    spectral parameter of `u`, indexed [..., (alpha, i), (beta, j)] with
+    alpha the auxiliary output; for N = 2 this is the raw six-vertex
+    R-matrix.
     """
     s = (N - 1) / 2.0
     m = s - np.arange(N)          # weights of the local basis, state 1 highest
+    # + 0.0 turns an imaginary part -0.0 into +0.0: the branch of the root
+    # of a negative product then depends on the value of eta alone
     v = np.sqrt(np.array([_qbracket(k + 1, eta) * _qbracket(2 * s - k, eta)
-                          for k in range(N - 1)], dtype=complex))
+                          for k in range(N - 1)], dtype=complex) + 0.0)
     sp = np.zeros((N, N), dtype=complex)
     sp[np.arange(N - 1), np.arange(1, N)] = v
     sm = sp.T.copy()
-    A = np.diag(np.sinh(u + eta / 2 + eta * m))
-    D = np.diag(np.sinh(u + eta / 2 - eta * m))
     sh = np.sinh(eta)
-    out = np.zeros((2 * N, 2 * N), dtype=complex)
-    out[:N, :N] = A
-    out[:N, N:] = sh * sm
-    out[N:, :N] = sh * sp
-    out[N:, N:] = D
+    u = np.asarray(u)[..., None]
+    diag = np.arange(N)
+    out = np.zeros(u.shape[:-1] + (2 * N, 2 * N), dtype=complex)
+    out[..., diag, diag] = np.sinh(u + eta / 2 + eta * m)
+    out[..., :N, N:] = sh * sm
+    out[..., N:, :N] = sh * sp
+    out[..., diag + N, diag + N] = np.sinh(u + eta / 2 - eta * m)
     return out
 
 
@@ -390,9 +394,10 @@ _INTERTWINER_OFFSETS = (
 )
 
 
-def _intertwiner_system(N, eta, w, offsets):
+def _intertwiner_system(N, eta, ws, offsets):
     """M1 (I (x) X) = (I (x) X) M2 with M1 = L12(x) L13(x + w) and
-    M2 = L13(x + w) L12(x), one block of rows per x = offset - Re(w) / 2.
+    M2 = L13(x + w) L12(x), one block of rows per x = offset - Re(w) / 2,
+    for each w of the array `ws`: shape (len(ws), rows, entries).
 
     The shift balances the two Lax factors: at large |Re w| an unshifted
     L13 dwarfs L12, and the system's second-smallest singular value falls
@@ -401,15 +406,16 @@ def _intertwiner_system(N, eta, w, offsets):
     n_rows, rows1, src1, rows2, src2 = _layout(N).intertwiner_plan
     dim = 2 * N * N
     eye_n = np.eye(N)
-    out = np.zeros((len(offsets), n_rows * ice_entry_count(N)), dtype=complex)
-    for block, x in zip(out, offsets):
-        x -= w.real / 2
-        l12 = np.kron(_fundamental_lax(N, eta, x), eye_n)
-        t = _fundamental_lax(N, eta, x + w).reshape(2, N, 2, N)
-        l13 = np.einsum("ajbq,ip->aijbpq", t, eye_n).reshape(dim, dim)
-        block[rows1] = (l12 @ l13).ravel()[src1]
-        block[rows2] -= (l13 @ l12).ravel()[src2]
-    return out.reshape(-1, ice_entry_count(N))
+    x = np.asarray(offsets) - ws.real[:, None] / 2   # (points, offsets)
+    lead = x.shape
+    l12 = np.einsum("...rc,ip->...ricp", _fundamental_lax(N, eta, x),
+                    eye_n).reshape(*lead, dim, dim)
+    t = _fundamental_lax(N, eta, x + ws[:, None]).reshape(*lead, 2, N, 2, N)
+    l13 = np.einsum("...ajbq,ip->...aijbpq", t, eye_n).reshape(*lead, dim, dim)
+    out = np.zeros((*lead, n_rows * ice_entry_count(N)), dtype=complex)
+    out[..., rows1] = (l12 @ l13).reshape(*lead, -1)[..., src1]
+    out[..., rows2] -= (l13 @ l12).reshape(*lead, -1)[..., src2]
+    return out.reshape(len(ws), -1, ice_entry_count(N))
 
 
 def _solve_bytes(N):
@@ -421,38 +427,88 @@ def _solve_bytes(N):
 
 
 _SOLVE_BYTES = 64 * 2 ** 20  # byte budget of one weight solve: N <= 9
+_BATCH_BYTES = 2 * 2 ** 20  # byte budget of the solves stacked in one batch
+
+
+def _nullspaces(N, eta, ws, offsets):
+    """(finite, sv, vec) of the systems at the array `ws`: whether each is
+    finite, and the singular values and the conjugated last right singular
+    vector of the R factor of its QR (a system that is not finite is
+    solved as zero).
+
+    The nullspace comes from an SVD of R, which keeps the system's
+    condition number (a Gram matrix squares it).
+    """
+    # an overflow leaves a non-finite system, rejected by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = _intertwiner_system(N, eta, ws, offsets)
+    finite = np.isfinite(system).all(axis=(1, 2))
+    if not finite.all():
+        system[~finite] = 0  # in place: the QR takes no non-finite entry
+    # mode "raw" is mode "r" before its np.triu, which is taken here once
+    # the system is freed: the peak is the system and the QR's copy
+    h = np.linalg.qr(system, mode="raw")[0]
+    del system
+    k = h.shape[-2]
+    _u, sv, vh = np.linalg.svd(np.triu(h.swapaxes(-1, -2)[..., :k, :]))
+    return finite, sv, vh[:, -1].conj()
+
+
+def _solve_intertwiners(N, eta, ws):
+    """R(w) of `higher_spin_xxz` at each w of the sequence `ws`, as a
+    (len(ws), entries) array: the stacked system's one-dimensional
+    nullspace, normalized to R_{1,1}^{1,1} = 1.
+
+    The points are solved in batches of `_BATCH_BYTES`, each stacked in
+    one array through one QR and one SVD call; a point whose nullspace is
+    not one-dimensional is retried, with the others that failed, at the
+    next offsets.  If any point cannot be solved, raises the error of the
+    first such point in the order of `ws`.
+    """
+    ws = np.asarray(ws, dtype=complex)
+    out = np.empty((len(ws), ice_entry_count(N)), dtype=complex)
+    errors = {}
+    batch = max(1, _BATCH_BYTES // _solve_bytes(N))
+    pending = np.arange(len(ws))
+    for offsets in _INTERTWINER_OFFSETS:
+        retry = []
+        for start in range(0, len(pending), batch):
+            idx = pending[start:start + batch]
+            finite, svs, vecs = _nullspaces(N, eta, ws[idx], offsets)
+            for i, ok, sv, vec in zip(idx, finite, svs, vecs):
+                w = complex(ws[i])
+                if not ok:
+                    errors[i] = ParameterDomain(
+                        f"higher-spin weights overflow at u = {w} "
+                        f"(eta = {eta})")
+                    continue
+                top = sv[0]
+                # squared singular values: the smallest vanishes, the next
+                # does not
+                if (top <= 0 or sv[-1] ** 2 > 1e-12 * top ** 2
+                        or sv[-2] ** 2 < 1e-9 * top ** 2):
+                    retry.append(i)  # no one-dimensional nullspace here
+                    continue
+                pivot = vec[0]  # (1,1;1,1) comes first in storage order
+                if abs(pivot) < 1e-9 * np.max(np.abs(vec)):
+                    errors[i] = ParameterDomain(
+                        f"higher-spin weights degenerate at u = {w}: "
+                        "normalizing (1,1;1,1) entry vanishes")
+                    continue
+                out[i] = vec / pivot
+        pending = np.array(retry, dtype=int)
+    for i in pending:
+        errors[i] = ParameterDomain(
+            f"higher-spin intertwiner not unique at u = {complex(ws[i])} "
+            "(degenerate point)")
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _solve_intertwiner(N, eta, w):
-    """R(w) of `higher_spin_xxz`: the stacked system's one-dimensional
-    nullspace, normalized to R_{1,1}^{1,1} = 1.
-
-    The nullspace comes from an SVD of the R factor of a QR of the system,
-    which keeps the system's condition number (a Gram matrix squares it).
-    """
-    for offsets in _INTERTWINER_OFFSETS:
-        # an overflow leaves a non-finite system, rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            system = _intertwiner_system(N, eta, w, offsets)
-        if not np.isfinite(system).all():
-            raise ParameterDomain(
-                f"higher-spin weights overflow at u = {w} (eta = {eta})")
-        _u, sv, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
-        top = sv[0]
-        if top <= 0:
-            continue
-        # squared singular values: the smallest vanishes, the next does not
-        if sv[-1] ** 2 > 1e-12 * top ** 2 or sv[-2] ** 2 < 1e-9 * top ** 2:
-            continue  # no one-dimensional nullspace at these offsets
-        vec = vh[-1].conj()
-        pivot = vec[0]  # (1,1;1,1) comes first in storage order
-        if abs(pivot) < 1e-9 * np.max(np.abs(vec)):
-            raise ParameterDomain(
-                f"higher-spin weights degenerate at u = {w}: "
-                "normalizing (1,1;1,1) entry vanishes")
-        return WeightMatrix(N, vec / pivot)
-    raise ParameterDomain(
-        f"higher-spin intertwiner not unique at u = {w} (degenerate point)")
+    """R(w) of `higher_spin_xxz`: `_solve_intertwiners` at the one point w."""
+    return WeightMatrix(N, _solve_intertwiners(N, eta, [w])[0])
 
 
 # The rational fit samples a ring of points in the sampling window, none
@@ -492,10 +548,12 @@ class RationalKernel:
     """Ice entries of a difference-form model as P_k(z) / Q(z), z = e^u.
 
     P_k and Q are Laurent polynomials with powers -(N-1)..N-1, and Q is
-    shared: the (1,1;1,1) entry is Q / Q = 1.  The fit runs on the first
-    evaluation, from `solve(u)` on `_FIT_RING`.  It is kept if it agrees
-    with `solve` to FIT_RTOL on `_FIT_CHECK`; otherwise, or if `solve`
-    fails at any of those points, every evaluation calls `solve`.
+    shared: the (1,1;1,1) entry is Q / Q = 1.  `solve(us)` returns the
+    exact weights at each u of `us`, one row of entries per u.  The fit
+    runs on the first evaluation, from one `solve` of `_FIT_RING` and
+    `_FIT_CHECK`.  It is kept if it agrees with `solve` to FIT_RTOL on
+    `_FIT_CHECK`; otherwise, or if `solve` fails at any of those points,
+    every evaluation calls `solve`.
     """
 
     def __init__(self, N, solve):
@@ -511,15 +569,16 @@ class RationalKernel:
             self.fit()
         if self.state == "fitted":
             return self.evaluate(u)
-        return self.solve(u)
+        return WeightMatrix(self.N, self.solve([u])[0])
 
     def fit(self):
         self.state = "fallback"
+        ring = len(_FIT_RING)
         try:
-            entries = np.array([self.solve(u).values for u in _FIT_RING])
-            self._coef = _fit_rational(self.N, _FIT_RING, entries)
+            solved = self.solve(np.concatenate([_FIT_RING, _FIT_CHECK]))
+            self._coef = _fit_rational(self.N, _FIT_RING, solved[:ring])
             self._powers = np.arange(2 * self.N - 1)
-            worst = worst_residual([self.difference(u) for u in _FIT_CHECK])
+            worst = worst_residual(self.differences(_FIT_CHECK, solved[ring:]))
         except (ParameterDomain, np.linalg.LinAlgError):
             worst = np.inf
         if worst <= FIT_RTOL:
@@ -543,24 +602,21 @@ class RationalKernel:
         vals[0] = 1.0
         return WeightMatrix(self.N, vals)
 
-    def difference(self, u):
-        """max |fit - solve| / max |solve| over the entries at u."""
-        want = self.solve(u).values
-        return float(np.abs(self.evaluate(u).values - want).max()
-                     / np.abs(want).max())
+    def differences(self, us, solved=None):
+        """max |fit - solve| / max |solve| over the entries at each u of
+        `us`, from one `solve` of all of them, or from `solved`, their
+        solved entries if given."""
+        if solved is None:
+            solved = self.solve(us)
+        return [float(np.abs(self.evaluate(u).values - want).max()
+                      / np.abs(want).max()) for u, want in zip(us, solved)]
 
 
 @functools.lru_cache(maxsize=16)  # a kernel holds at most 133 KB (N = 9)
-def _shared_kernel(N, eta_repr):
+def _shared_kernel(N, eta):
     """The one `RationalKernel` of every `higher_spin_xxz(N, eta)` model
-    in the process, unfitted until its first evaluation.
-
-    Keyed by repr(eta), which round-trips exactly, not by eta: -0.0 ==
-    0.0, yet the sign of a zero part of eta can change the weights (it
-    picks the branch of a square root in the Lax operator).
-    """
-    eta = complex(eta_repr)
-    return RationalKernel(N, lambda u: _solve_intertwiner(N, eta, u))
+    in the process, unfitted until its first evaluation."""
+    return RationalKernel(N, lambda us: _solve_intertwiners(N, eta, us))
 
 
 def higher_spin_xxz(N=3, eta=0.4375):
@@ -568,7 +624,7 @@ def higher_spin_xxz(N=3, eta=0.4375):
 
     N = 2 reduces to the six-vertex family.  For N >= 3 the weights are
     the normalized intertwiner of the mixed Yang-Baxter relation
-    (`_solve_intertwiner`), evaluated through a `RationalKernel` fitted
+    (`_solve_intertwiners`), evaluated through a `RationalKernel` fitted
     on first use; `model.kernel` holds it.  Every model of one (N, eta)
     shares that kernel, so a process fits each (N, eta) once.
     """
@@ -582,7 +638,7 @@ def higher_spin_xxz(N=3, eta=0.4375):
             f"higher_spin_xxz N = {N} needs {_solve_bytes(N) / 2 ** 20:.0f} "
             f"MiB per weight solve, over the {_SOLVE_BYTES // 2 ** 20} MiB "
             "budget")
-    kernel = _shared_kernel(N, repr(eta))
+    kernel = _shared_kernel(N, eta)
 
     def _eval(lam, mu):
         return kernel(lam - mu)

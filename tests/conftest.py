@@ -56,10 +56,29 @@ def nan_every(monkeypatch, owner, attr, k, when=lambda *args: True):
     monkeypatch.setattr(owner, attr, patched)
 
 
+def nan_difference(monkeypatch, k, when=lambda kernel: True):
+    """Make `RationalKernel.differences` read nan at its k-th u (from 0)
+    on every call for which `when(kernel)` holds."""
+    real = W.RationalKernel.differences
+
+    def patched(kernel, us, solved=None):
+        out = real(kernel, us, solved)
+        if when(kernel):
+            out[k] = float("nan")
+        return out
+
+    monkeypatch.setattr(W.RationalKernel, "differences", patched)
+
+
 def count_solves(monkeypatch):
-    """A list that gains one entry per `_solve_intertwiner` call."""
+    """A list that gains, per call of the batched weight solver
+    `_solve_intertwiners`, the number of points the call solves."""
     calls = []
-    solve = W._solve_intertwiner
-    monkeypatch.setattr(W, "_solve_intertwiner",
-                        lambda *args: calls.append(args) or solve(*args))
+    solve = W._solve_intertwiners
+
+    def counted(N, eta, ws):
+        calls.append(len(ws))
+        return solve(N, eta, ws)
+
+    monkeypatch.setattr(W, "_solve_intertwiners", counted)
     return calls

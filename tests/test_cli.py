@@ -11,7 +11,7 @@ from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import ConfigError, U1BetheError
 
-from conftest import ETA, count_solves, nan_every
+from conftest import ETA, count_solves, nan_difference, nan_every
 
 
 def write(path, text):
@@ -105,7 +105,8 @@ def test_check_r_checks_the_kernel_it_used(six_cfg, spin1_cfg, tmp_path,
 
 def test_commands_share_one_fit(tmp_path, monkeypatch):
     # the fit (68 solves) runs once for the four commands, and check-r's
-    # kernel row solves each distinct u once: 4 per sample, plus u = 0
+    # kernel row solves each distinct u once: 4 per sample, plus u = 0;
+    # each solves all its points in one call of the batched solver
     cfg = write(tmp_path / "n4.cfg",
                 "model = higher_spin_xxz\nN = 4\neta = 0.4375\nL = 2\n"
                 "inhomogeneities = [0.0, 0.05+0.02j]\n")
@@ -116,7 +117,7 @@ def test_commands_share_one_fit(tmp_path, monkeypatch):
                  ["offshell", "--n", "2"]):
         assert run(args + ["--config", cfg, "--quiet"]) == 0
     fit = len(W._FIT_RING) + len(W._FIT_CHECK)
-    assert len(calls) == fit + 4 * samples + 1
+    assert calls == [fit, 4 * samples + 1]
 
 
 def test_identities_command(spin1_cfg, tmp_path):
@@ -347,9 +348,8 @@ def test_nan_rule_trial_exits_1(spin1_cfg, tmp_path, monkeypatch):
 
 def test_nan_kernel_difference_fails_check_r(spin1_cfg, tmp_path,
                                              monkeypatch):
-    # once fitted, the fifth pair of every sample's row reads nan
-    nan_every(monkeypatch, W.RationalKernel, "difference", 5,
-              when=lambda kernel, u: kernel.state == "fitted")
+    # once fitted, the fifth distinct u of the row reads nan
+    nan_difference(monkeypatch, 4, when=lambda k: k.state == "fitted")
     out = tmp_path / "r.json"
     assert run(["check-r", "--config", spin1_cfg, "--samples", "3",
                 "--out", str(out), "--quiet"]) == 1
@@ -415,6 +415,23 @@ def test_file_errors_exit_2(case, six_cfg, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option, path", [
+    ("--out", "missing/r.json"), ("--csv", "missing/s.csv"), ("--out", ".")],
+    ids=["out-dir-missing", "csv-dir-missing", "out-is-a-dir"])
+def test_unusable_output_paths_exit_2_before_the_run(
+        option, path, six_cfg, tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_command", never)
+    capsys.readouterr()
+    assert run(["solve", "--config", six_cfg, "--n", "1", "--spectrum",
+                option, str(tmp_path / path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 _ANY_VALUE = st.one_of(

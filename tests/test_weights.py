@@ -8,7 +8,7 @@ from u1bethe import chain as C
 from u1bethe import weights as W
 from u1bethe.errors import ParameterDomain, UnknownGridPoint
 
-from conftest import ETA, count_solves, nan_every, points, rng_for
+from conftest import ETA, count_solves, nan_difference, points, rng_for
 
 
 def test_ice_rule_structural(six):
@@ -190,9 +190,9 @@ def test_fit_agrees_with_solve(N):
     model.eval_r(0.3, 0.1)
     assert model.kernel.state == "fitted"
     rng = rng_for("fit", N)
-    for _ in range(12):
-        u = complex(rng.uniform(-8, 8), rng.uniform(-np.pi, np.pi))
-        assert model.kernel.difference(u) <= W.FIT_RTOL
+    us = [complex(rng.uniform(-8, 8), rng.uniform(-np.pi, np.pi))
+          for _ in range(12)]
+    assert all(d <= W.FIT_RTOL for d in model.kernel.differences(us))
 
 
 def test_rejected_fit_falls_back_to_the_solve_bitwise(monkeypatch):
@@ -206,7 +206,7 @@ def test_rejected_fit_falls_back_to_the_solve_bitwise(monkeypatch):
 
 
 def test_nan_at_a_check_point_rejects_the_fit(monkeypatch):
-    nan_every(monkeypatch, W.RationalKernel, "difference", 3)
+    nan_difference(monkeypatch, 2)
     kernel = W.higher_spin_xxz(3, ETA).kernel
     kernel.fit()                     # the third check point reads nan
     assert kernel.state == "fallback"
@@ -224,6 +224,97 @@ def test_solve_bytes_bound_a_solve(N):
     finally:
         tracemalloc.stop()
     assert W._solve_bytes(N) <= peak <= 1.15 * W._solve_bytes(N)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_batched_solves_equal_one_point_solves(N, monkeypatch):
+    # four points a batch at every N (by default a batch at N >= 5 holds
+    # one point), so that every stacked QR and SVD is checked
+    monkeypatch.setattr(W, "_BATCH_BYTES", 4 * W._solve_bytes(N))
+    rng = rng_for("batch", N)
+    us = [complex(rng.uniform(-8, 8), rng.uniform(-np.pi, np.pi))
+          for _ in range(10)]
+    want = [W._solve_intertwiner(N, ETA, u).values for u in us]
+    assert W._solve_intertwiners(N, ETA, us).tobytes() == \
+        np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_batched_fit_equals_a_one_point_fit(N):
+    # N = 3, 4 are the N whose default batch holds more than one point
+    kernel = W.higher_spin_xxz(N, ETA).kernel
+    kernel.fit()
+    one_point = W.RationalKernel(N, lambda us: np.array(
+        [W._solve_intertwiner(N, ETA, u).values for u in us]))
+    one_point.fit()
+    assert kernel.state == one_point.state == "fitted"
+    assert kernel._coef.tobytes() == one_point._coef.tobytes()
+
+
+def test_points_that_fail_the_gate_are_retried(monkeypatch):
+    # u = 19 + 0.1i has no one-dimensional nullspace at the second
+    # offsets but has one at the first: with the two swapped, it alone is
+    # retried, and ends with the weights of an unpatched solve
+    us = [0.3 + 0.1j, 19 + 0.1j, -0.6 + 0.8j]
+    want = W._solve_intertwiners(3, ETA, us)
+    first, second, third = W._INTERTWINER_OFFSETS
+    monkeypatch.setattr(W, "_INTERTWINER_OFFSETS", (second,))
+    with pytest.raises(ParameterDomain, match="not unique"):
+        W._solve_intertwiner(3, ETA, us[1])
+    monkeypatch.setattr(W, "_INTERTWINER_OFFSETS", (second, first, third))
+    got = W._solve_intertwiners(3, ETA, us)
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got.tobytes() == np.array(
+        [W._solve_intertwiner(3, ETA, u).values for u in us]).tobytes()
+
+
+def _first_error(N, eta, us):
+    """The message of the first one-point solve of `us` that fails."""
+    for u in us:
+        try:
+            W._solve_intertwiner(N, eta, u)
+        except ParameterDomain as err:
+            return str(err)
+    return None
+
+
+@pytest.mark.parametrize("batch", [1, 24])
+@pytest.mark.parametrize("eta, us, offsets", [
+    (ETA, [0.3 + 0.1j, 800 + 0.1j, 20 + 0.1j], None),
+    (ETA, [0.2j, 20 + 0.1j, -ETA + 0j, 800 + 0.1j], None),
+    (ETA, [0.3 + 0.1j, -ETA + 0j, 800 + 0.1j], None),
+    (300.0, [0.3 + 0.1j, -0.5j], None),
+    (ETA, [0.3 + 0.1j, 19 + 0.1j, 800 + 0.1j], 1),
+], ids=["overflow", "not-unique", "pivot", "eta-300", "gate-at-the-offsets"])
+def test_a_batch_raises_the_error_of_its_first_failing_point(
+        eta, us, offsets, batch, monkeypatch):
+    # a later point can fail first (an overflow is seen before any retry);
+    # the error raised is still that of the first failing point of `us`
+    if offsets is not None:
+        monkeypatch.setattr(W, "_INTERTWINER_OFFSETS",
+                            (W._INTERTWINER_OFFSETS[offsets],))
+    monkeypatch.setattr(W, "_BATCH_BYTES", batch * W._solve_bytes(3))
+    want = _first_error(3, eta, us)
+    assert want is not None
+    with pytest.raises(ParameterDomain) as got:
+        W._solve_intertwiners(3, eta, us)
+    assert str(got.value) == want
+
+
+def test_batch_memory_stays_within_its_budget():
+    N = 4
+    batch = W._BATCH_BYTES // W._solve_bytes(N)
+    rng = rng_for("batch-memory")
+    us = [W.random_point(rng, ((-8, 8), (-np.pi, np.pi))) for _ in range(161)]
+    W._solve_intertwiners(N, ETA, us[:1])        # builds the layout's plan
+    tracemalloc.start()
+    try:
+        W._solve_intertwiners(N, ETA, us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch > 1
+    assert batch * W._solve_bytes(N) <= peak <= 1.15 * batch * W._solve_bytes(N)
 
 
 def test_large_n_refused_before_any_allocation():
@@ -245,10 +336,10 @@ def test_model_and_context_run_no_solve(monkeypatch):
     C.ChainContext(model, 3, [0.0, 0.05 + 0.02j, -0.1])
     assert calls == []
     model.eval_r(0.2, 0.1)          # the first evaluation fits and checks
-    fit_calls = len(W._FIT_RING) + len(W._FIT_CHECK)
-    assert len(calls) == fit_calls
+    fit = [len(W._FIT_RING) + len(W._FIT_CHECK)]    # in one solver call
+    assert calls == fit
     model.eval_r(0.7, -0.4j)
-    assert len(calls) == fit_calls
+    assert calls == fit
 
 
 def test_models_of_one_n_and_eta_share_one_fit(monkeypatch):
@@ -257,23 +348,23 @@ def test_models_of_one_n_and_eta_share_one_fit(monkeypatch):
     assert a.kernel is b.kernel
     a.eval_r(0.2, 0.1)
     b.eval_r(0.7, -0.4j)
-    assert len(calls) == len(W._FIT_RING) + len(W._FIT_CHECK)
+    assert calls == [len(W._FIT_RING) + len(W._FIT_CHECK)]
     assert a.kernel.state == "fitted"
     others = [W.higher_spin_xxz(4, ETA + 0.1), W.higher_spin_xxz(3, ETA)]
     assert all(m.kernel is not a.kernel for m in others)
     assert others[0].kernel.state == "unfitted"
 
 
-def test_shared_kernels_tell_apart_the_sign_of_a_zero_eta_part():
-    # -0.0 == 0.0, yet the two etas give weights with some signs flipped
+def test_weights_depend_on_the_value_of_eta_only():
+    # -0.0 == 0.0: a zero part of eta of either sign gives the same
+    # weights, though it picks the branch of a root of a negative product
     etas = complex(0.0, -1.3), complex(-0.0, -1.3)
-    kernels = [W.higher_spin_xxz(4, eta).kernel for eta in etas]
-    assert kernels[0] is not kernels[1]
-    u = 0.3 + 0.1j
-    want = [W._solve_intertwiner(4, eta, u).values for eta in etas]
-    assert not np.array_equal(want[0], want[1])
-    for kernel, w in zip(kernels, want):
-        assert kernel.solve(u).values.tobytes() == w.tobytes()
+    us = [0.3 + 0.1j, -0.7 + 0.4j, 1.1 - 0.9j]
+    for N in (3, 4, 5):
+        kernels = [W.higher_spin_xxz(N, eta).kernel for eta in etas]
+        assert kernels[0] is kernels[1]
+        a, b = (W._solve_intertwiners(N, eta, us) for eta in etas)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_shared_kernels_are_bounded():
