@@ -13,9 +13,9 @@ Built-in families:
 * ``higher_spin_xxz`` -- N >= 3 spin-s weights obtained numerically as the
   (unique up to scale) intertwiner solving the mixed Yang-Baxter relation
   with the standard U_q(sl2) spin-s Lax operator, and evaluated through a
-  rational fit of that solve (`RationalKernel`).  No closed-form weights
-  are transcribed; the Yang-Baxter and unitarity checkers below gate every
-  built-in family.
+  rational fit of that solve over its closed-form denominator, the fusion
+  poles (`RationalKernel`).  No closed-form weights are transcribed; the
+  Yang-Baxter and unitarity checkers below gate every built-in family.
 """
 
 import cmath
@@ -483,10 +483,10 @@ def _solve_intertwiners(N, eta, ws):
                         f"(eta = {eta})")
                     continue
                 top = sv[0]
-                # squared singular values: the smallest vanishes, the next
-                # does not
-                if (top <= 0 or sv[-1] ** 2 > 1e-12 * top ** 2
-                        or sv[-2] ** 2 < 1e-9 * top ** 2):
+                # the smallest singular value vanishes, the next does not;
+                # unsquared, so that a large finite system cannot overflow
+                if (top <= 0 or sv[-1] > 1e-6 * top
+                        or sv[-2] < math.sqrt(1e-9) * top):
                     retry.append(i)  # no one-dimensional nullspace here
                     continue
                 pivot = vec[0]  # (1,1;1,1) comes first in storage order
@@ -506,11 +506,6 @@ def _solve_intertwiners(N, eta, ws):
     return out
 
 
-def _solve_intertwiner(N, eta, w):
-    """R(w) of `higher_spin_xxz`: `_solve_intertwiners` at the one point w."""
-    return WeightMatrix(N, _solve_intertwiners(N, eta, [w])[0])
-
-
 # The rational fit samples a ring of points in the sampling window, none
 # on Im u = 0 or pi, where the poles u = -k eta of a real eta sit, and is
 # validated at points out to the |Re u| <= 8 that Newton iterates reach.
@@ -521,23 +516,23 @@ _FIT_CHECK = (8.0 + 0.3j, -8.0 - 1.1j, 4.6 + 2.1j, -3.7 + 0.6j,
 FIT_RTOL = 1e-11  # max |fit - solve| / max |solve| a kept fit reaches
 
 
-def _fit_rational(N, u, entries):
+def _fit_rational(N, eta, u, entries):
     """Laurent coefficients of P_k and Q from `entries[m, k]` at `u[m]`.
 
-    Returns a (K, 2N - 1) array, column j the power j - (N - 1) of
-    z = e^u; row k is P_k, and row 0, the (1,1;1,1) entry, is Q.
+    Q is the closed form prod_{j=1}^{N-1} 2 sinh(u + j eta), whose zeros
+    u = -j eta (mod i pi) are the fusion poles of the spin-s weights; each
+    P_k is the least squares solution of Z p_k = diag(E_k) Z q.  Returns a
+    (K, 2N - 1) array, column j the power j - (N - 1) of z = e^u; row k is
+    P_k, and row 0, the (1,1;1,1) entry, is Q.
     """
     d = N - 1
+    q = np.ones(1)
+    for j in range(1, N):  # 2 sinh(u + j eta) = e^{j eta} z - e^{-j eta} / z
+        q = np.convolve(q, [-np.exp(-j * eta), 0, np.exp(j * eta)])
     z = np.exp(u)
     zmat = z[:, None] ** np.arange(-d, d + 1)
     zmat /= np.maximum(np.abs(z), 1 / np.abs(z))[:, None] ** d  # rows of max 1
     basis, tri = np.linalg.qr(zmat)
-    # (I - Pi_Z) diag(E_k) Z, stacked over k: Q spans its nullspace
-    stack = entries.T[:, :, None] * zmat
-    stack -= basis @ (basis.conj().T @ stack)
-    tall = np.linalg.qr(stack.reshape(-1, 2 * d + 1), mode="r")
-    q = np.linalg.svd(tall)[2][-1].conj()
-    # each P_k: least squares Z p_k = diag(E_k) Z q
     rhs = basis.conj().T @ (entries * (zmat @ q)[:, None])
     coef = np.linalg.solve(tri, rhs).T
     coef[0] = q
@@ -545,7 +540,7 @@ def _fit_rational(N, u, entries):
 
 
 class RationalKernel:
-    """Ice entries of a difference-form model as P_k(z) / Q(z), z = e^u.
+    """Ice entries of `higher_spin_xxz(N, eta)` as P_k(z) / Q(z), z = e^u.
 
     P_k and Q are Laurent polynomials with powers -(N-1)..N-1, and Q is
     shared: the (1,1;1,1) entry is Q / Q = 1.  `solve(us)` returns the
@@ -556,9 +551,9 @@ class RationalKernel:
     every evaluation calls `solve`.
     """
 
-    def __init__(self, N, solve):
+    def __init__(self, N, eta):
         self.N = N
-        self.solve = solve
+        self.eta = eta
         self.state = "unfitted"   # then "fitted" or "fallback"
         # row k: z^d P_k(z) in powers of z, low powers first (d = N - 1);
         # reversed, z^-d P_k(z) in powers of 1/z
@@ -571,12 +566,16 @@ class RationalKernel:
             return self.evaluate(u)
         return WeightMatrix(self.N, self.solve([u])[0])
 
+    def solve(self, us):
+        return _solve_intertwiners(self.N, self.eta, us)
+
     def fit(self):
         self.state = "fallback"
         ring = len(_FIT_RING)
         try:
             solved = self.solve(np.concatenate([_FIT_RING, _FIT_CHECK]))
-            self._coef = _fit_rational(self.N, _FIT_RING, solved[:ring])
+            self._coef = _fit_rational(self.N, self.eta, _FIT_RING,
+                                       solved[:ring])
             self._powers = np.arange(2 * self.N - 1)
             worst = worst_residual(self.differences(_FIT_CHECK, solved[ring:]))
         except (ParameterDomain, np.linalg.LinAlgError):
@@ -612,11 +611,9 @@ class RationalKernel:
                       / np.abs(want).max()) for u, want in zip(us, solved)]
 
 
-@functools.lru_cache(maxsize=16)  # a kernel holds at most 133 KB (N = 9)
-def _shared_kernel(N, eta):
-    """The one `RationalKernel` of every `higher_spin_xxz(N, eta)` model
-    in the process, unfitted until its first evaluation."""
-    return RationalKernel(N, lambda us: _solve_intertwiners(N, eta, us))
+# the one kernel of every higher_spin_xxz(N, eta) model in the process,
+# unfitted until its first evaluation; a kernel holds at most 133 KB (N = 9)
+_shared_kernel = functools.lru_cache(maxsize=16)(RationalKernel)
 
 
 def higher_spin_xxz(N=3, eta=0.4375):
