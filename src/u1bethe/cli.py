@@ -229,11 +229,11 @@ def cmd_check_r(model, ctx, opts):
         reg = [check_regularity(model, p[0]) for p in pts]
         checks = [("yang_baxter", ybe, pts), ("unitarity", uni, pts),
                   ("regularity", reg, pts)]
-        # a fitted kernel is checked against the solve it replaces, at
-        # every (lambda, mu) pair the rows above evaluated; the distinct
-        # u = lambda - mu are solved in one call (u = 0 recurs in every
-        # sample)
-        if kernel is not None and kernel.state == "fitted":
+        # a kernel's fused weights are checked against the intertwiner
+        # solve at every (lambda, mu) pair the rows above evaluated; the
+        # distinct u = lambda - mu are solved in one call (u = 0 recurs in
+        # every sample)
+        if kernel is not None:
             us = [(l1 - l2, l1 - l3, l2 - l3, l2 - l1, l1 - l1)
                   for l1, l2, l3 in pts]
             distinct = list(dict.fromkeys(u for five in us for u in five))
@@ -246,9 +246,6 @@ def cmd_check_r(model, ctx, opts):
         results.append({"check": name, **_summary(vals),
                         "worst_sample": list(where[worst]) if vals else []})
         residuals.extend(vals)
-    if kernel is not None and kernel.state == "fallback":
-        results.append({"check": "kernel", "fallback":
-                        "rational fit rejected: every evaluation solves"})
     passed = all(r <= opts.tol for r in residuals)
     return results, residuals, passed, None
 

@@ -10,12 +10,13 @@ Built-in families:
 
 * ``six_vertex`` -- N = 2 trigonometric weights in the symmetric gauge,
   normalized so that R21(l, m) R12(m, l) = I exactly.
-* ``higher_spin_xxz`` -- N >= 3 spin-s weights obtained numerically as the
-  (unique up to scale) intertwiner solving the mixed Yang-Baxter relation
-  with the standard U_q(sl2) spin-s Lax operator, and evaluated through a
-  rational fit of that solve over its closed-form denominator, the fusion
-  poles (`RationalKernel`).  No closed-form weights are transcribed; the
-  Yang-Baxter and unitarity checkers below gate every built-in family.
+* ``higher_spin_xxz`` -- N >= 3 spin-s weights, the fusion of N - 1
+  spin-1/2 Lax operators built from the U_q(sl2) spin-s generators, kept
+  as exact Laurent coefficients in z = e^u (`RationalKernel`).  They are
+  checked against an independent solve: the (unique up to scale)
+  intertwiner of the mixed Yang-Baxter relation with that Lax operator.
+  No closed-form weights are transcribed; the Yang-Baxter and unitarity
+  checkers below gate every built-in family.
 """
 
 import cmath
@@ -43,13 +44,16 @@ def _finite(z, what="spectral parameter"):
     return z
 
 
-def _anisotropy(eta):
-    """`eta` as a complex number, with sinh(eta) nonzero and finite."""
+def _anisotropy(eta, N=2):
+    """`eta` as a complex number, with sinh(eta) finite and the q-numbers
+    [k]_q = sinh(k eta) / sinh(eta) of k = 1..N-1 nonzero."""
     eta = _finite(eta, "eta")
-    nearest = 1j * np.pi * round(eta.imag / np.pi)
-    if abs(eta - nearest) < 1e-12:
-        raise ParameterDomain(
-            f"anisotropy eta = {eta!r} is degenerate: sinh(eta) = 0")
+    for k in range(1, N):
+        if abs(k * eta - 1j * np.pi * round(k * eta.imag / np.pi)) < 1e-12:
+            zero = ("sinh(eta) = 0" if k == 1 else
+                    f"[{k}]_q = sinh({k} eta) / sinh(eta) = 0 at N = {N}")
+            raise ParameterDomain(
+                f"anisotropy eta = {eta!r} is degenerate: {zero}")
     try:
         cmath.sinh(eta)
     except OverflowError:
@@ -506,87 +510,83 @@ def _solve_intertwiners(N, eta, ws):
     return out
 
 
-# The rational fit samples a ring of points in the sampling window, none
-# on Im u = 0 or pi, where the poles u = -k eta of a real eta sit, and is
-# validated at points out to the |Re u| <= 8 that Newton iterates reach.
-_FIT_RING = np.array([x + 1j * np.pi * (4 * j + 1) / 30
-                      for x in (-1.2, -0.4, 0.4, 1.2) for j in range(15)])
-_FIT_CHECK = (8.0 + 0.3j, -8.0 - 1.1j, 4.6 + 2.1j, -3.7 + 0.6j,
-              2.2 - 2.6j, -1.9 + 1.4j, 0.7 + 0.9j, -0.15 - 0.35j)
-FIT_RTOL = 1e-11  # max |fit - solve| / max |solve| a kept fit reaches
+def _fused_coefficients(N, eta):
+    """Laurent coefficients of the ice entries of `higher_spin_xxz(N, eta)`
+    by fusion: a (K, 2N - 1) array, column j the power j - (N - 1) of
+    z = e^u; row k is P_k, and row 0, the (1,1;1,1) entry, is Q.
 
-
-def _fit_rational(N, eta, u, entries):
-    """Laurent coefficients of P_k and Q from `entries[m, k]` at `u[m]`.
-
-    Q is the closed form prod_{j=1}^{N-1} 2 sinh(u + j eta), whose zeros
-    u = -j eta (mod i pi) are the fusion poles of the spin-s weights; each
-    P_k is the least squares solution of Z p_k = diag(E_k) Z q.  Returns a
-    (K, 2N - 1) array, column j the power j - (N - 1) of z = e^u; row k is
-    P_k, and row 0, the (1,1;1,1) entry, is Q.
+    With m = N - 1 and x = u - (N - 2) eta / 2, the Lax product
+    L_{a_1}(x) L_{a_2}(x + eta) ... L_{a_m}(x + (m - 1) eta) leaves
+    Sym^m(C^2) (x) C^N invariant, and there it is R(u) up to an auxiliary
+    gauge and a scalar (Kulish-Reshetikhin-Sklyanin fusion).  Each factor
+    is A z + B + C / z; after each, the product is restricted from
+    Sym^(n-1) (x) C^2 to Sym^n in orthonormal symmetric bases, so no
+    matrix is wider than N^2.
     """
-    d = N - 1
-    q = np.ones(1)
-    for j in range(1, N):  # 2 sinh(u + j eta) = e^{j eta} z - e^{-j eta} / z
-        q = np.convolve(q, [-np.exp(-j * eta), 0, np.exp(j * eta)])
-    z = np.exp(u)
-    zmat = z[:, None] ** np.arange(-d, d + 1)
-    zmat /= np.maximum(np.abs(z), 1 / np.abs(z))[:, None] ** d  # rows of max 1
-    basis, tri = np.linalg.qr(zmat)
-    rhs = basis.conj().T @ (entries * (zmat @ q)[:, None])
-    coef = np.linalg.solve(tri, rhs).T
-    coef[0] = q
+    m = N - 1
+    h = m / 2 - np.arange(N)          # weights of the local basis
+    # t[p, a, b, c, d]: power p - n of z in entry (a, b; c, d) of the
+    # product of the first n factors, a and c indexing Sym^n
+    t = np.eye(N, dtype=complex)[None, None, :, None, :]
+    # an overflow leaves a coefficient that is not finite, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # blocks (alpha, beta) of a factor, up = 0: (0, 1) and (1, 0) are
+        # the Lax operator's sinh(eta) S^-, S^+; (alpha, alpha) of factor k
+        # is diag sinh(u + y[alpha]) with y = (k + 1 - m / 2) eta +- h eta
+        lax = _fundamental_lax(N, eta, 0.0)
+        off = (lax[:N, N:], lax[N:, :N])
+        for k in range(m):
+            n = k + 1
+            y = (k + 1 - m / 2) * eta + np.array([h, -h]) * eta
+            # state j of Sym^(n-1) gains an up factor (state j of Sym^n)
+            # or a down one (state j + 1), with amplitude lift[alpha, j]
+            j = np.arange(n)
+            lift = np.sqrt(np.array([n - j, j + 1]) / n)
+            new = np.zeros((len(t) + 2, n + 1, N, n + 1, N), dtype=complex)
+            for alpha, beta in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                block = new[:, alpha:alpha + n, :, beta:beta + n]
+                part = t * (lift[alpha][:, None, None, None]
+                            * lift[beta][:, None])
+                if alpha != beta:
+                    block[1:-1] += part @ off[alpha]
+                else:
+                    block[2:] += part * (np.exp(y[alpha]) / 2)
+                    block[:-2] -= part * (np.exp(-y[alpha]) / 2)
+            t = new
+        # R's gauge: entry (a, b; c, d) times g_c / g_a, where g_(k+1) / g_k
+        # = sqrt(k (m-k+1)) [k]_q / (k v_(k-1)); sinh(eta) v is read off the
+        # Lax operator's S^+ block, so that g takes its roots' branch
+        k = np.arange(1, N)
+        g = np.cumprod(np.r_[1.0, np.sqrt(k * (m - k + 1)) * np.sinh(k * eta)
+                             / (k * np.diag(off[1], 1))])
+        t *= (g[None, :] / g[:, None])[:, None, :, None]
+    lay = _layout(N)
+    coef = t.reshape(2 * N - 1, N * N, N * N)[:, lay.rows, lay.cols].T
+    if not np.isfinite(coef).all():
+        raise ParameterDomain(f"higher-spin weights overflow at eta = {eta}: "
+                              "fused coefficients are not finite")
     return coef
 
 
 class RationalKernel:
     """Ice entries of `higher_spin_xxz(N, eta)` as P_k(z) / Q(z), z = e^u.
 
-    P_k and Q are Laurent polynomials with powers -(N-1)..N-1, and Q is
-    shared: the (1,1;1,1) entry is Q / Q = 1.  `solve(us)` returns the
-    exact weights at each u of `us`, one row of entries per u.  The fit
-    runs on the first evaluation, from one `solve` of `_FIT_RING` and
-    `_FIT_CHECK`.  It is kept if it agrees with `solve` to FIT_RTOL on
-    `_FIT_CHECK`; otherwise, or if `solve` fails at any of those points,
-    every evaluation calls `solve`.
+    P_k and Q are Laurent polynomials with powers -(N-1)..N-1, built
+    exactly by fusion (`_fused_coefficients`) when the kernel is made, and
+    Q is shared: the (1,1;1,1) entry is Q / Q = 1.  `differences` checks
+    them against `_solve_intertwiners`, the independent intertwiner solve.
     """
 
     def __init__(self, N, eta):
         self.N = N
         self.eta = eta
-        self.state = "unfitted"   # then "fitted" or "fallback"
         # row k: z^d P_k(z) in powers of z, low powers first (d = N - 1);
         # reversed, z^-d P_k(z) in powers of 1/z
-        self._coef = self._powers = None
-
-    def __call__(self, u):
-        if self.state == "unfitted":
-            self.fit()
-        if self.state == "fitted":
-            return self.evaluate(u)
-        return WeightMatrix(self.N, self.solve([u])[0])
-
-    def solve(self, us):
-        return _solve_intertwiners(self.N, self.eta, us)
-
-    def fit(self):
-        self.state = "fallback"
-        ring = len(_FIT_RING)
-        try:
-            solved = self.solve(np.concatenate([_FIT_RING, _FIT_CHECK]))
-            self._coef = _fit_rational(self.N, self.eta, _FIT_RING,
-                                       solved[:ring])
-            self._powers = np.arange(2 * self.N - 1)
-            worst = worst_residual(self.differences(_FIT_CHECK, solved[ring:]))
-        except (ParameterDomain, np.linalg.LinAlgError):
-            worst = np.inf
-        if worst <= FIT_RTOL:
-            self.state = "fitted"
-        else:
-            self._coef = None
+        self._coef = _fused_coefficients(N, eta)
+        self._powers = np.arange(2 * N - 1)
 
     def evaluate(self, u):
-        """The fitted weights at u.  P_k and Q are both scaled by z^-d
+        """The weights at u.  P_k and Q are both scaled by z^-d
         (Re u > 0) or z^d, which cancels, so only powers of a t = e^-u or
         e^u with |t| <= 1 are formed."""
         if u.real > 0:
@@ -601,18 +601,16 @@ class RationalKernel:
         vals[0] = 1.0
         return WeightMatrix(self.N, vals)
 
-    def differences(self, us, solved=None):
-        """max |fit - solve| / max |solve| over the entries at each u of
-        `us`, from one `solve` of all of them, or from `solved`, their
-        solved entries if given."""
-        if solved is None:
-            solved = self.solve(us)
+    def differences(self, us):
+        """max |kernel - solve| / max |solve| over the entries at each u
+        of `us`, from one `_solve_intertwiners` call for all of them."""
+        solved = _solve_intertwiners(self.N, self.eta, us)
         return [float(np.abs(self.evaluate(u).values - want).max()
                       / np.abs(want).max()) for u, want in zip(us, solved)]
 
 
-# the one kernel of every higher_spin_xxz(N, eta) model in the process,
-# unfitted until its first evaluation; a kernel holds at most 133 KB (N = 9)
+# the one kernel of every higher_spin_xxz(N, eta) model in the process; a
+# kernel holds at most 133 KB (N = 9)
 _shared_kernel = functools.lru_cache(maxsize=16)(RationalKernel)
 
 
@@ -620,12 +618,14 @@ def higher_spin_xxz(N=3, eta=0.4375):
     """Spin-s XXZ weights for N = 2s + 1 local states.
 
     N = 2 reduces to the six-vertex family.  For N >= 3 the weights are
-    the normalized intertwiner of the mixed Yang-Baxter relation
-    (`_solve_intertwiners`), evaluated through a `RationalKernel` fitted
-    on first use; `model.kernel` holds it.  Every model of one (N, eta)
-    shares that kernel, so a process fits each (N, eta) once.
+    the fusion of N - 1 spin-1/2 Lax operators, evaluated through a
+    `RationalKernel`; `model.kernel` holds it.  Every model of one
+    (N, eta) shares that kernel, so a process builds each (N, eta) once.
+    The intertwiner solve of the mixed Yang-Baxter relation
+    (`_solve_intertwiners`) is the independent check of those weights.
     """
-    eta = _anisotropy(eta)
+    if N < 2:
+        raise ParameterDomain(f"N must be >= 2, got {N}")
     if N == 2:
         model = six_vertex(eta)
         model.name = "higher_spin_xxz"
@@ -635,10 +635,11 @@ def higher_spin_xxz(N=3, eta=0.4375):
             f"higher_spin_xxz N = {N} needs {_solve_bytes(N) / 2 ** 20:.0f} "
             f"MiB per weight solve, over the {_SOLVE_BYTES // 2 ** 20} MiB "
             "budget")
+    eta = _anisotropy(eta, N)
     kernel = _shared_kernel(N, eta)
 
     def _eval(lam, mu):
-        return kernel(lam - mu)
+        return kernel.evaluate(lam - mu)
 
     return ModelSpec("higher_spin_xxz", N, {"eta": eta}, _eval,
                      rapidity_period=1j * np.pi, kernel=kernel)

@@ -9,9 +9,9 @@ ETA = 0.4375
 
 
 @pytest.fixture(autouse=True)
-def no_fitted_kernels():
+def no_shared_kernels():
     # higher_spin_xxz models of one (N, eta) share a kernel for the whole
-    # process; each test starts with none fitted and none fallen back
+    # process; each test starts with none built
     W._shared_kernel.cache_clear()
 
 
@@ -56,15 +56,13 @@ def nan_every(monkeypatch, owner, attr, k, when=lambda *args: True):
     monkeypatch.setattr(owner, attr, patched)
 
 
-def nan_difference(monkeypatch, k, when=lambda kernel: True):
-    """Make `RationalKernel.differences` read nan at its k-th u (from 0)
-    on every call for which `when(kernel)` holds."""
+def nan_difference(monkeypatch, k):
+    """Make `RationalKernel.differences` read nan at its k-th u (from 0)."""
     real = W.RationalKernel.differences
 
-    def patched(kernel, us, solved=None):
-        out = real(kernel, us, solved)
-        if when(kernel):
-            out[k] = float("nan")
+    def patched(kernel, us):
+        out = real(kernel, us)
+        out[k] = float("nan")
         return out
 
     monkeypatch.setattr(W.RationalKernel, "differences", patched)

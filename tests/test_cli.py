@@ -59,8 +59,8 @@ def test_check_r_pass(six_cfg, tmp_path):
      ["rules", "--seed", "3"]),
 ], ids=["check-r", "rules", "check-r-fitted", "check-r-after-rules"])
 def test_report_determinism(cfg_name, args, warmup, request, tmp_path):
-    # a is written with no kernel fitted; b with the kernel that a fitted
-    # or, given a `warmup` command, with a fresh one that it fitted
+    # a is written with no kernel built; b with the kernel that a built
+    # or, given a `warmup` command, with a fresh one that it built
     cfg = request.getfixturevalue(cfg_name)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -81,8 +81,7 @@ def test_seed_changes_report(six_cfg, tmp_path):
     assert strip_timestamp(a.read_text()) != strip_timestamp(b.read_text())
 
 
-def test_check_r_checks_the_kernel_it_used(six_cfg, spin1_cfg, tmp_path,
-                                           monkeypatch):
+def test_check_r_checks_the_kernel_it_used(six_cfg, spin1_cfg, tmp_path):
     def rows(cfg):
         out = tmp_path / "r.json"
         assert run(["check-r", "--config", cfg, "--samples", "6",
@@ -90,7 +89,7 @@ def test_check_r_checks_the_kernel_it_used(six_cfg, spin1_cfg, tmp_path,
         return {r["check"]: r for r in json.loads(out.read_text())["results"]}
 
     kernel = rows(spin1_cfg)["kernel"]
-    assert kernel["count"] == 6 and kernel["max"] <= W.FIT_RTOL
+    assert kernel["count"] == 6 and kernel["max"] <= 1e-12
     assert "kernel" not in rows(six_cfg)
     six = W.six_vertex(ETA)
     table = tmp_path / "w.tab"
@@ -98,15 +97,17 @@ def test_check_r_checks_the_kernel_it_used(six_cfg, spin1_cfg, tmp_path,
     table_cfg = write(tmp_path / "t.cfg",
                       f"model = table\ntable_file = {table}\nL = 2\n")
     assert "kernel" not in rows(table_cfg)
-    monkeypatch.setattr(W, "FIT_RTOL", 0.0)     # no fit can pass: fallback
-    W._shared_kernel.cache_clear()              # drop the kernel fitted above
-    assert set(rows(spin1_cfg)["kernel"]) == {"check", "fallback"}
+    # N = 4 at eta = 1.5, where the solve refuses points far from the
+    # origin: the row still checks every sample
+    n4_cfg = write(tmp_path / "n4.cfg",
+                   "model = higher_spin_xxz\nN = 4\neta = 1.5\nL = 2\n")
+    kernel = rows(n4_cfg)["kernel"]
+    assert kernel["count"] == 6 and kernel["max"] <= 1e-12
 
 
 def test_commands_share_one_fit(tmp_path, monkeypatch):
-    # the fit (68 solves) runs once for the four commands, and check-r's
-    # kernel row solves each distinct u once: 4 per sample, plus u = 0;
-    # each solves all its points in one call of the batched solver
+    # only check-r's kernel row solves, each distinct u once: 4 per
+    # sample, plus u = 0, all in one call of the batched solver
     cfg = write(tmp_path / "n4.cfg",
                 "model = higher_spin_xxz\nN = 4\neta = 0.4375\nL = 2\n"
                 "inhomogeneities = [0.0, 0.05+0.02j]\n")
@@ -116,8 +117,7 @@ def test_commands_share_one_fit(tmp_path, monkeypatch):
                  ["identities", "--samples", "2"], ["rules", "--tol", "5e-10"],
                  ["offshell", "--n", "2"]):
         assert run(args + ["--config", cfg, "--quiet"]) == 0
-    fit = len(W._FIT_RING) + len(W._FIT_CHECK)
-    assert calls == [fit, 4 * samples + 1]
+    assert calls == [4 * samples + 1]
 
 
 def test_identities_command(spin1_cfg, tmp_path):
@@ -348,8 +348,8 @@ def test_nan_rule_trial_exits_1(spin1_cfg, tmp_path, monkeypatch):
 
 def test_nan_kernel_difference_fails_check_r(spin1_cfg, tmp_path,
                                              monkeypatch):
-    # once fitted, the fifth distinct u of the row reads nan
-    nan_difference(monkeypatch, 4, when=lambda k: k.state == "fitted")
+    # the fifth distinct u of the row reads nan
+    nan_difference(monkeypatch, 4)
     out = tmp_path / "r.json"
     assert run(["check-r", "--config", spin1_cfg, "--samples", "3",
                 "--out", str(out), "--quiet"]) == 1

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +11,7 @@ from u1bethe import chain as C
 from u1bethe import weights as W
 from u1bethe.errors import ParameterDomain, UnknownGridPoint
 
-from conftest import ETA, count_solves, nan_difference, points, rng_for
+from conftest import ETA, count_solves, points, rng_for
 
 
 def test_ice_rule_structural(six):
@@ -179,37 +182,69 @@ def test_eval_cache_is_exact(spin1):
 
 
 # ----------------------------------------------------------------------
-# the fitted rational kernel of higher_spin_xxz
+# the fused rational kernel of higher_spin_xxz
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("N", [3, 4, 5])
+# both signs of a zero real part: -0.0 == 0.0, so the kernel is built
+# directly here, not taken from the models' shared one
+GRID_ETAS = (ETA, -ETA, 0.3 + 0.2j, 0.9, 1.5, 1.3j, -1.3j,
+             complex(-0.0, 1.3), complex(-0.0, -1.3), 2.5j, -0.3 + 1.1j)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_fit_agrees_with_solve(N):
-    # fresh points out to the |Re u| = 8 that Newton iterates reach, far
-    # outside the fitting ring |Re u| <= 1.2; the tolerance is FIT_RTOL
-    model = W.higher_spin_xxz(N, ETA)
-    model.eval_r(0.3, 0.1)
-    assert model.kernel.state == "fitted"
+    # the fused coefficients against the independent intertwiner solve,
+    # at fresh points out to the |Re u| = 8 that Newton iterates reach;
+    # a point where the solve refuses is skipped
     rng = rng_for("fit", N)
-    us = [complex(rng.uniform(-8, 8), rng.uniform(-np.pi, np.pi))
-          for _ in range(12)]
-    assert all(d <= W.FIT_RTOL for d in model.kernel.differences(us))
+    checked = 0
+    for eta in GRID_ETAS:
+        kernel = W.RationalKernel(N, eta)
+        for _ in range(12):
+            u = complex(rng.uniform(-8, 8), rng.uniform(-np.pi, np.pi))
+            try:
+                difference, = kernel.differences([u])
+            except ParameterDomain:
+                continue
+            assert difference <= 1e-12, (eta, u)
+            checked += 1
+    assert checked >= 6 * len(GRID_ETAS)
 
 
-def test_rejected_fit_falls_back_to_the_solve_bitwise(monkeypatch):
-    monkeypatch.setattr(W, "FIT_RTOL", 0.0)
-    model = W.higher_spin_xxz(3, ETA)
-    lam, mu = 0.41 - 0.2j, -0.3 + 0.15j
-    got = model.eval_r(lam, mu).values
-    assert model.kernel.state == "fallback"
-    want = W._solve_intertwiners(3, model.params["eta"], [lam - mu])[0]
-    assert np.array_equal(got, want)
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_fused_q_is_the_closed_form(N):
+    # up to a constant, Q = prod_{j=1}^{N-1} 2 sinh(u + j eta), whose zeros
+    # u = -j eta (mod i pi) are the fusion poles of the spin-s weights
+    for eta in (ETA, 0.3 + 0.2j, 1.5, -1.3j):
+        q = np.ones(1)
+        for j in range(1, N):  # 2 sinh(u + j eta) = e^{j eta} z - e^{-j eta} / z
+            q = np.convolve(q, [-np.exp(-j * eta), 0, np.exp(j * eta)])
+        fused = W.RationalKernel(N, eta)._coef[0]
+        top = np.argmax(np.abs(q))
+        assert W.relative_residual(fused / fused[top], q / q[top]) <= 1e-13
 
 
-def test_nan_at_a_check_point_rejects_the_fit(monkeypatch):
-    nan_difference(monkeypatch, 2)
-    kernel = W.higher_spin_xxz(3, ETA).kernel
-    kernel.fit()                     # the third check point reads nan
-    assert kernel.state == "fallback"
+@pytest.mark.parametrize("N", [4, 5])
+def test_yang_baxter_at_large_real_eta(N):
+    # a large real eta, where the intertwiner solve refuses points far
+    # from the origin and so cannot vouch for every weight
+    model = W.higher_spin_xxz(N, 1.5)
+    rng = rng_for("ybe-eta-1.5", N)
+    assert max(W.check_yang_baxter(model, *points(model, rng, 3))
+               for _ in range(30)) <= 1e-10
+
+
+def test_fused_coefficients_do_not_depend_on_blas_threads():
+    code = ("import hashlib; from u1bethe import weights as W; print("
+            "hashlib.sha256(b''.join(W._fused_coefficients(N, 0.4375)"
+            ".tobytes() for N in (4, 5, 6))).hexdigest())")
+    src = str(Path(W.__file__).parents[1])
+    digests = [subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                             PYTHONPATH=src)).stdout
+        for threads in ("1", "2")]
+    assert digests[0] == digests[1] != ""
 
 
 @pytest.mark.parametrize("N", [4, 5])
@@ -237,18 +272,6 @@ def test_batched_solves_equal_one_point_solves(N, monkeypatch):
     want = [W._solve_intertwiners(N, ETA, [u])[0] for u in us]
     assert W._solve_intertwiners(N, ETA, us).tobytes() == \
         np.array(want).tobytes()
-
-
-@pytest.mark.parametrize("N", [3, 4])
-def test_batched_fit_equals_a_one_point_fit(N, monkeypatch):
-    # N = 3, 4 are the N whose default batch holds more than one point
-    kernel = W.higher_spin_xxz(N, ETA).kernel
-    kernel.fit()
-    monkeypatch.setattr(W, "_BATCH_BYTES", 1)     # one point a batch
-    one_point = W.RationalKernel(N, kernel.eta)
-    one_point.fit()
-    assert kernel.state == one_point.state == "fitted"
-    assert kernel._coef.tobytes() == one_point._coef.tobytes()
 
 
 def test_points_that_fail_the_gate_are_retried(monkeypatch):
@@ -326,7 +349,7 @@ def test_batch_memory_stays_within_its_budget():
 
 def test_large_n_refused_before_any_allocation():
     assert W._solve_bytes(9) <= W._SOLVE_BYTES < W._solve_bytes(10)
-    W.higher_spin_xxz(9, ETA)        # accepted; nothing is solved yet
+    W.higher_spin_xxz(9, ETA)        # accepted: fused, nothing solved
     tracemalloc.start()
     try:
         with pytest.raises(ParameterDomain, match="MiB per weight solve"):
@@ -341,25 +364,28 @@ def test_model_and_context_run_no_solve(monkeypatch):
     calls = count_solves(monkeypatch)
     model = W.higher_spin_xxz(4, ETA)
     C.ChainContext(model, 3, [0.0, 0.05 + 0.02j, -0.1])
-    assert calls == []
-    model.eval_r(0.2, 0.1)          # the first evaluation fits and checks
-    fit = [len(W._FIT_RING) + len(W._FIT_CHECK)]    # in one solver call
-    assert calls == fit
+    model.eval_r(0.2, 0.1)
     model.eval_r(0.7, -0.4j)
-    assert calls == fit
+    assert calls == []
 
 
 def test_models_of_one_n_and_eta_share_one_fit(monkeypatch):
-    calls = count_solves(monkeypatch)
+    builds = []
+    fuse = W._fused_coefficients
+
+    def counted(N, eta):
+        builds.append((N, eta))
+        return fuse(N, eta)
+
+    monkeypatch.setattr(W, "_fused_coefficients", counted)
     a, b = W.higher_spin_xxz(4, ETA), W.higher_spin_xxz(4, ETA)
     assert a.kernel is b.kernel
     a.eval_r(0.2, 0.1)
     b.eval_r(0.7, -0.4j)
-    assert calls == [len(W._FIT_RING) + len(W._FIT_CHECK)]
-    assert a.kernel.state == "fitted"
+    assert builds == [(4, ETA)]
     others = [W.higher_spin_xxz(4, ETA + 0.1), W.higher_spin_xxz(3, ETA)]
     assert all(m.kernel is not a.kernel for m in others)
-    assert others[0].kernel.state == "unfitted"
+    assert builds == [(4, ETA), (4, ETA + 0.1), (3, ETA)]
 
 
 def test_weights_depend_on_the_value_of_eta_only():
@@ -370,6 +396,8 @@ def test_weights_depend_on_the_value_of_eta_only():
     for N in (3, 4, 5):
         kernels = [W.higher_spin_xxz(N, eta).kernel for eta in etas]
         assert kernels[0] is kernels[1]
+        a, b = (W.RationalKernel(N, eta)._coef for eta in etas)
+        assert a.tobytes() == b.tobytes()
         a, b = (W._solve_intertwiners(N, eta, us) for eta in etas)
         assert a.tobytes() == b.tobytes()
 
@@ -390,20 +418,10 @@ def test_pole_of_q_raises():
     for N in (3, 4):
         for eta in (ETA, 0.3 + 0.2j):
             model = W.higher_spin_xxz(N, eta)
-            model.eval_r(0.2, 0.1)
-            assert model.kernel.state == "fitted"
             for j in range(1, N):
                 for u in (-j * eta, -j * eta + 1j * np.pi):
                     with pytest.raises(ParameterDomain, match="pole"):
                         model.eval_r(u, 0.0)
-
-
-def test_rescued_fit_at_n6():
-    # with Q in closed form the N = 6, eta = -0.4375 fit is kept
-    kernel = W.higher_spin_xxz(6, -0.4375).kernel
-    kernel.fit()
-    assert kernel.state == "fitted"
-    assert max(kernel.differences(W._FIT_CHECK)) <= W.FIT_RTOL
 
 
 def _spectral_frame(r_dense, N, u):
@@ -420,7 +438,7 @@ def test_spectral_decomposition_oracle(N):
     # M(u) = sum_j rho_j(u) Pi_j, with rho_j(u) = prod_{k=j+1}^{N-1}
     # sinh(k eta - u) / sinh(k eta + u) and constant projectors Pi_j of
     # rank 2j + 1, built from one solve at u0 as Lagrange products; the
-    # fitted weights are checked against it, with no fit code involved.
+    # fused weights are checked against it, with no fusion code involved.
     # At N >= 5 the sum cancels (4e-10 at N = 5), so N stops at 4.
     model = W.higher_spin_xxz(N, ETA)
     eta = model.params["eta"]
@@ -444,14 +462,18 @@ def test_spectral_decomposition_oracle(N):
         want = _spectral_frame(model.eval_r(u, 0.0).dense(), N, u)
         got = sum(c * proj for c, proj in zip(rho(u), projs))
         assert W.relative_residual(got, want) <= 1e-12
-    assert model.kernel.state == "fitted"
 
 
-@pytest.mark.parametrize("eta", [0.0, 1j * np.pi, -2j * np.pi, 3e-13])
-@pytest.mark.parametrize("family", [W.six_vertex,
-                                    lambda eta: W.higher_spin_xxz(3, eta)])
+@pytest.mark.parametrize("family, eta", [
+    (family, eta)
+    for family in (W.six_vertex, lambda eta: W.higher_spin_xxz(3, eta))
+    for eta in (0.0, 1j * np.pi, -2j * np.pi, 3e-13)] + [
+    (lambda eta: W.higher_spin_xxz(3, eta), 1j * np.pi / 2),
+    (lambda eta: W.higher_spin_xxz(4, eta), 1j * np.pi / 3),
+    (lambda eta: W.higher_spin_xxz(5, eta), 1j * np.pi / 4)])
 def test_degenerate_anisotropy_rejected(family, eta):
-    # sinh(eta) = 0 zeroes the q-brackets and the six-vertex c weight
+    # sinh(eta) = 0 zeroes the q-brackets and the six-vertex c weight;
+    # sinh(k eta) = 0 for some k = 2..N-1 zeroes a root of S^+
     with pytest.raises(ParameterDomain, match="anisotropy"):
         family(eta)
 
