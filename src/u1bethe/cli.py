@@ -229,17 +229,12 @@ def cmd_check_r(model, ctx, opts):
         reg = [check_regularity(model, p[0]) for p in pts]
         checks = [("yang_baxter", ybe, pts), ("unitarity", uni, pts),
                   ("regularity", reg, pts)]
-        # a kernel's fused weights are checked against the intertwiner
-        # solve at every (lambda, mu) pair the rows above evaluated; the
-        # distinct u = lambda - mu are solved in one call (u = 0 recurs in
-        # every sample)
+        # a kernel's fused weights are checked by their defining relation
+        # at every u = lambda - mu of the pairs the rows above evaluated
         if kernel is not None:
-            us = [(l1 - l2, l1 - l3, l2 - l3, l2 - l1, l1 - l1)
-                  for l1, l2, l3 in pts]
-            distinct = list(dict.fromkeys(u for five in us for u in five))
-            difference = dict(zip(distinct, kernel.differences(distinct)))
-            kern = [amp.worst_residual([difference[u] for u in five])
-                    for five in us]
+            kern = [amp.worst_residual(kernel.relation_residuals(
+                        [l1 - l2, l1 - l3, l2 - l3, l2 - l1, l1 - l1]))
+                    for l1, l2, l3 in pts]
             checks.append(("kernel", kern, pts))
     for name, vals, where in checks:
         worst = int(np.argmax(vals)) if vals else 0

@@ -13,8 +13,8 @@ Built-in families:
 * ``higher_spin_xxz`` -- N >= 3 spin-s weights, the fusion of N - 1
   spin-1/2 Lax operators built from the U_q(sl2) spin-s generators, kept
   as exact Laurent coefficients in z = e^u (`RationalKernel`).  They are
-  checked against an independent solve: the (unique up to scale)
-  intertwiner of the mixed Yang-Baxter relation with that Lax operator.
+  checked by the relation that defines them: R(u) intertwines two
+  products of that Lax operator (the mixed Yang-Baxter relation).
   No closed-form weights are transcribed; the Yang-Baxter and unitarity
   checkers below gate every built-in family.
 """
@@ -116,37 +116,6 @@ class _Layout:
         arr = np.array(self.keys) - 1
         self.rows = arr[:, 0] * N + arr[:, 1]
         self.cols = arr[:, 2] * N + arr[:, 3]
-        self.N = N
-
-    @functools.cached_property
-    def intertwiner_plan(self):
-        """Scatter plan of the linear map X -> M1 (I (x) X) - (I (x) X) M2.
-
-        M1 and M2 act on C^2 (x) C^N (x) C^N and conserve the charge
-        alpha + i + j of a state (alpha, i, j), so only equations between
-        states of equal charge can be nonzero: they are the rows, the ice
-        entries of X in storage order the columns.  Returns the row count
-        and (rows, src) of each term: M.flat[src] lands at flat position
-        rows of the (row count, entry count) system, negated for M2.
-        """
-        N, k = self.N, len(self.keys)
-        nn, dim = N * N, 2 * N * N
-        state = np.arange(dim)
-        charge = state // nn + state % nn // N + state % N
-        same = charge[:, None] == charge[None, :]
-        pos = np.full((dim, dim), -1)
-        pos[same] = np.arange(np.count_nonzero(same))
-        rows1, src1, rows2, src2 = [], [], [], []
-        for col, (rs, pq) in enumerate(zip(self.rows, self.cols)):
-            for alpha in (0, 1):
-                r, p = alpha * nn + rs, alpha * nn + pq
-                us = np.flatnonzero(charge == charge[r])
-                rows1.append(pos[us, p] * k + col)  # (M1 (I(x)E))[u, p] = M1[u, r]
-                src1.append(us * dim + r)
-                rows2.append(pos[r, us] * k + col)  # ((I(x)E) M2)[r, v] = M2[p, v]
-                src2.append(p * dim + us)
-        cat = np.concatenate
-        return pos.max() + 1, cat(rows1), cat(src1), cat(rows2), cat(src2)
 
 
 _layout = functools.cache(_Layout)  # one layout per N, built on first use
@@ -391,125 +360,6 @@ def _fundamental_lax(N, eta, u):
     return out
 
 
-_INTERTWINER_OFFSETS = (
-    (0.4371 + 0.2913j, -0.5923 + 0.1647j),
-    (0.7253 - 0.3381j, 0.1931 + 0.6117j),
-    (-0.8419 + 0.4457j, 0.3343 - 0.7129j),
-)
-
-
-def _intertwiner_system(N, eta, ws, offsets):
-    """M1 (I (x) X) = (I (x) X) M2 with M1 = L12(x) L13(x + w) and
-    M2 = L13(x + w) L12(x), one block of rows per x = offset - Re(w) / 2,
-    for each w of the array `ws`: shape (len(ws), rows, entries).
-
-    The shift balances the two Lax factors: at large |Re w| an unshifted
-    L13 dwarfs L12, and the system's second-smallest singular value falls
-    like exp(-|Re w|) instead of exp(-|Re w| / 2).
-    """
-    n_rows, rows1, src1, rows2, src2 = _layout(N).intertwiner_plan
-    dim = 2 * N * N
-    eye_n = np.eye(N)
-    x = np.asarray(offsets) - ws.real[:, None] / 2   # (points, offsets)
-    lead = x.shape
-    l12 = np.einsum("...rc,ip->...ricp", _fundamental_lax(N, eta, x),
-                    eye_n).reshape(*lead, dim, dim)
-    t = _fundamental_lax(N, eta, x + ws[:, None]).reshape(*lead, 2, N, 2, N)
-    l13 = np.einsum("...ajbq,ip->...aijbpq", t, eye_n).reshape(*lead, dim, dim)
-    out = np.zeros((*lead, n_rows * ice_entry_count(N)), dtype=complex)
-    out[..., rows1] = (l12 @ l13).reshape(*lead, -1)[..., src1]
-    out[..., rows2] -= (l13 @ l12).reshape(*lead, -1)[..., src2]
-    return out.reshape(len(ws), -1, ice_entry_count(N))
-
-
-def _solve_bytes(N):
-    """Bytes a weight solve holds at its peak, to within 15%: the system,
-    two blocks of 2N(4N^2 - 1)/3 rows (the pairs of equal-charge states)
-    by the ice entries, and the copy its QR takes."""
-    rows = 2 * N * (4 * N * N - 1) // 3
-    return 4 * rows * ice_entry_count(N) * 16
-
-
-_SOLVE_BYTES = 64 * 2 ** 20  # byte budget of one weight solve: N <= 9
-_BATCH_BYTES = 2 * 2 ** 20  # byte budget of the solves stacked in one batch
-
-
-def _nullspaces(N, eta, ws, offsets):
-    """(finite, sv, vec) of the systems at the array `ws`: whether each is
-    finite, and the singular values and the conjugated last right singular
-    vector of the R factor of its QR (a system that is not finite is
-    solved as zero).
-
-    The nullspace comes from an SVD of R, which keeps the system's
-    condition number (a Gram matrix squares it).
-    """
-    # an overflow leaves a non-finite system, rejected by the caller
-    with np.errstate(over="ignore", invalid="ignore"):
-        system = _intertwiner_system(N, eta, ws, offsets)
-    finite = np.isfinite(system).all(axis=(1, 2))
-    if not finite.all():
-        system[~finite] = 0  # in place: the QR takes no non-finite entry
-    # mode "raw" is mode "r" before its np.triu, which is taken here once
-    # the system is freed: the peak is the system and the QR's copy
-    h = np.linalg.qr(system, mode="raw")[0]
-    del system
-    k = h.shape[-2]
-    _u, sv, vh = np.linalg.svd(np.triu(h.swapaxes(-1, -2)[..., :k, :]))
-    return finite, sv, vh[:, -1].conj()
-
-
-def _solve_intertwiners(N, eta, ws):
-    """R(w) of `higher_spin_xxz` at each w of the sequence `ws`, as a
-    (len(ws), entries) array: the stacked system's one-dimensional
-    nullspace, normalized to R_{1,1}^{1,1} = 1.
-
-    The points are solved in batches of `_BATCH_BYTES`, each stacked in
-    one array through one QR and one SVD call; a point whose nullspace is
-    not one-dimensional is retried, with the others that failed, at the
-    next offsets.  If any point cannot be solved, raises the error of the
-    first such point in the order of `ws`.
-    """
-    ws = np.asarray(ws, dtype=complex)
-    out = np.empty((len(ws), ice_entry_count(N)), dtype=complex)
-    errors = {}
-    batch = max(1, _BATCH_BYTES // _solve_bytes(N))
-    pending = np.arange(len(ws))
-    for offsets in _INTERTWINER_OFFSETS:
-        retry = []
-        for start in range(0, len(pending), batch):
-            idx = pending[start:start + batch]
-            finite, svs, vecs = _nullspaces(N, eta, ws[idx], offsets)
-            for i, ok, sv, vec in zip(idx, finite, svs, vecs):
-                w = complex(ws[i])
-                if not ok:
-                    errors[i] = ParameterDomain(
-                        f"higher-spin weights overflow at u = {w} "
-                        f"(eta = {eta})")
-                    continue
-                top = sv[0]
-                # the smallest singular value vanishes, the next does not;
-                # unsquared, so that a large finite system cannot overflow
-                if (top <= 0 or sv[-1] > 1e-6 * top
-                        or sv[-2] < math.sqrt(1e-9) * top):
-                    retry.append(i)  # no one-dimensional nullspace here
-                    continue
-                pivot = vec[0]  # (1,1;1,1) comes first in storage order
-                if abs(pivot) < 1e-9 * np.max(np.abs(vec)):
-                    errors[i] = ParameterDomain(
-                        f"higher-spin weights degenerate at u = {w}: "
-                        "normalizing (1,1;1,1) entry vanishes")
-                    continue
-                out[i] = vec / pivot
-        pending = np.array(retry, dtype=int)
-    for i in pending:
-        errors[i] = ParameterDomain(
-            f"higher-spin intertwiner not unique at u = {complex(ws[i])} "
-            "(degenerate point)")
-    if errors:
-        raise errors[min(errors)]
-    return out
-
-
 def _fused_coefficients(N, eta):
     """Laurent coefficients of the ice entries of `higher_spin_xxz(N, eta)`
     by fusion: a (K, 2N - 1) array, column j the power j - (N - 1) of
@@ -568,13 +418,16 @@ def _fused_coefficients(N, eta):
     return coef
 
 
+_RELATION_OFFSET = 0.4371 + 0.2913j  # x0 of `relation_residuals`
+
+
 class RationalKernel:
     """Ice entries of `higher_spin_xxz(N, eta)` as P_k(z) / Q(z), z = e^u.
 
     P_k and Q are Laurent polynomials with powers -(N-1)..N-1, built
     exactly by fusion (`_fused_coefficients`) when the kernel is made, and
-    Q is shared: the (1,1;1,1) entry is Q / Q = 1.  `differences` checks
-    them against `_solve_intertwiners`, the independent intertwiner solve.
+    Q is shared: the (1,1;1,1) entry is Q / Q = 1.  `relation_residuals`
+    checks them by the mixed Yang-Baxter relation with the Lax operator.
     """
 
     def __init__(self, N, eta):
@@ -601,13 +454,34 @@ class RationalKernel:
         vals[0] = 1.0
         return WeightMatrix(self.N, vals)
 
-    def differences(self, us):
-        """max |kernel - solve| / max |solve| over the entries at each u
-        of `us`, from one `_solve_intertwiners` call for all of them."""
-        solved = _solve_intertwiners(self.N, self.eta, us)
-        return [float(np.abs(self.evaluate(u).values - want).max()
-                      / np.abs(want).max()) for u, want in zip(us, solved)]
+    def relation_residuals(self, us):
+        """The relative residual, at each u of `us`, of the mixed
+        Yang-Baxter relation on C^2 (x) C^N (x) C^N that defines R(u):
 
+            L12(x) L13(x + u) (I (x) R(u)) = (I (x) R(u)) L13(x + u) L12(x)
+
+        with L the Lax operator.  At generic u its ice solutions are the
+        multiples of R(u), and it holds at every x, so one x checks the
+        weights.  x = x0 - Re(u) / 2 keeps the two Lax factors of one
+        size: unshifted, L13 dwarfs L12 at large |Re u|.
+        """
+        N, dim = self.N, 2 * self.N * self.N
+        eye_n = np.eye(N)
+        out = []
+        for u in us:
+            x = _RELATION_OFFSET - u.real / 2
+            lax12, lax13 = _fundamental_lax(N, self.eta, np.array([x, x + u]))
+            l12 = np.kron(lax12, eye_n)
+            l13 = np.einsum("ajbq,ip->aijbpq", lax13.reshape(2, N, 2, N),
+                            eye_n).reshape(dim, dim)
+            r = np.kron(np.eye(2), self.evaluate(u).dense())
+            out.append(relative_residual(l12 @ l13 @ r, r @ l13 @ l12))
+        return out
+
+
+# the largest N of higher_spin_xxz: the fusion's memory grows like N^5
+# (a tracemalloc peak of 5.4 MiB at N = 9, 108 MiB at N = 16)
+_MAX_N = 9
 
 # the one kernel of every higher_spin_xxz(N, eta) model in the process; a
 # kernel holds at most 133 KB (N = 9)
@@ -621,8 +495,8 @@ def higher_spin_xxz(N=3, eta=0.4375):
     the fusion of N - 1 spin-1/2 Lax operators, evaluated through a
     `RationalKernel`; `model.kernel` holds it.  Every model of one
     (N, eta) shares that kernel, so a process builds each (N, eta) once.
-    The intertwiner solve of the mixed Yang-Baxter relation
-    (`_solve_intertwiners`) is the independent check of those weights.
+    `RationalKernel.relation_residuals` checks those weights by the mixed
+    Yang-Baxter relation with the Lax operator that they intertwine.
     """
     if N < 2:
         raise ParameterDomain(f"N must be >= 2, got {N}")
@@ -630,11 +504,9 @@ def higher_spin_xxz(N=3, eta=0.4375):
         model = six_vertex(eta)
         model.name = "higher_spin_xxz"
         return model
-    if _solve_bytes(N) > _SOLVE_BYTES:
+    if N > _MAX_N:
         raise ParameterDomain(
-            f"higher_spin_xxz N = {N} needs {_solve_bytes(N) / 2 ** 20:.0f} "
-            f"MiB per weight solve, over the {_SOLVE_BYTES // 2 ** 20} MiB "
-            "budget")
+            f"higher_spin_xxz supports N = 2..{_MAX_N}, got N = {N}")
     eta = _anisotropy(eta, N)
     kernel = _shared_kernel(N, eta)
 

@@ -11,7 +11,7 @@ from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import ConfigError, U1BetheError
 
-from conftest import ETA, count_solves, nan_difference, nan_every
+from conftest import ETA, count_builds, nan_every, nan_residual
 
 
 def write(path, text):
@@ -97,8 +97,8 @@ def test_check_r_checks_the_kernel_it_used(six_cfg, spin1_cfg, tmp_path):
     table_cfg = write(tmp_path / "t.cfg",
                       f"model = table\ntable_file = {table}\nL = 2\n")
     assert "kernel" not in rows(table_cfg)
-    # N = 4 at eta = 1.5, where the solve refuses points far from the
-    # origin: the row still checks every sample
+    # N = 4 at eta = 1.5, where an intertwiner solve refuses points far
+    # from the origin: the relation checks every sample
     n4_cfg = write(tmp_path / "n4.cfg",
                    "model = higher_spin_xxz\nN = 4\neta = 1.5\nL = 2\n")
     kernel = rows(n4_cfg)["kernel"]
@@ -106,18 +106,37 @@ def test_check_r_checks_the_kernel_it_used(six_cfg, spin1_cfg, tmp_path):
 
 
 def test_commands_share_one_fit(tmp_path, monkeypatch):
-    # only check-r's kernel row solves, each distinct u once: 4 per
-    # sample, plus u = 0, all in one call of the batched solver
+    # the four commands in one process fuse the weights of (N, eta) once
     cfg = write(tmp_path / "n4.cfg",
                 "model = higher_spin_xxz\nN = 4\neta = 0.4375\nL = 2\n"
                 "inhomogeneities = [0.0, 0.05+0.02j]\n")
-    calls = count_solves(monkeypatch)
-    samples = 3
-    for args in (["check-r", "--samples", str(samples)],
+    builds = count_builds(monkeypatch)
+    for args in (["check-r", "--samples", "3"],
                  ["identities", "--samples", "2"], ["rules", "--tol", "5e-10"],
                  ["offshell", "--n", "2"]):
         assert run(args + ["--config", cfg, "--quiet"]) == 0
-    assert calls == [4 * samples + 1]
+    assert builds == [(4, ETA)]
+
+
+@pytest.mark.parametrize("N, eta", [(3, ETA), (4, 1.5)])
+def test_perturbed_weights_fail_the_kernel_row(N, eta, tmp_path,
+                                               monkeypatch):
+    # negative control: one fused coefficient off by 1e-8 of the largest
+    fuse = W._fused_coefficients
+
+    def perturbed(N, eta):
+        coef = fuse(N, eta)
+        coef[len(coef) // 2, N - 1] += 1e-8 * np.abs(coef).max()
+        return coef
+
+    monkeypatch.setattr(W, "_fused_coefficients", perturbed)
+    cfg = write(tmp_path / "n.cfg",
+                f"model = higher_spin_xxz\nN = {N}\neta = {eta}\nL = 2\n")
+    out = tmp_path / "r.json"
+    assert run(["check-r", "--config", cfg, "--samples", "5",
+                "--out", str(out), "--quiet"]) == 1
+    rows = {r["check"]: r for r in _results(out)}
+    assert rows["kernel"]["max"] > 1e-10
 
 
 def test_identities_command(spin1_cfg, tmp_path):
@@ -348,8 +367,8 @@ def test_nan_rule_trial_exits_1(spin1_cfg, tmp_path, monkeypatch):
 
 def test_nan_kernel_difference_fails_check_r(spin1_cfg, tmp_path,
                                              monkeypatch):
-    # the fifth distinct u of the row reads nan
-    nan_difference(monkeypatch, 4)
+    # the fifth u of the row, u = 0 of the first sample, reads nan
+    nan_residual(monkeypatch, 4)
     out = tmp_path / "r.json"
     assert run(["check-r", "--config", spin1_cfg, "--samples", "3",
                 "--out", str(out), "--quiet"]) == 1
@@ -358,14 +377,15 @@ def test_nan_kernel_difference_fails_check_r(spin1_cfg, tmp_path,
     assert rows["yang_baxter"]["max"] <= 1e-10
 
 
-def test_large_n_exits_2(tmp_path, capsys):
-    # checked first, so that code without the bound never runs this solve
-    assert W._solve_bytes(20) > 100 * W._SOLVE_BYTES
+def test_large_n_exits_2(tmp_path, capsys, monkeypatch):
+    # refused before any fusion build
+    builds = count_builds(monkeypatch)
     cfg = write(tmp_path / "n20.cfg",
                 "model = higher_spin_xxz\nN = 20\neta = 0.4375\nL = 2\n")
     assert run(["check-r", "--config", cfg, "--samples", "1",
                 "--quiet"]) == 2
     assert "ParameterDomain" in capsys.readouterr().err
+    assert builds == []
 
 
 def test_nonfinite_inhomogeneity_exits_2(tmp_path, capsys):

@@ -9,7 +9,8 @@ from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import DimensionTooLarge
 
-from conftest import ETA, nan_every, points, rng_for
+from conftest import (ETA, INTERTWINER_OFFSETS, intertwiner_system, nan_every,
+                      points, rng_for)
 
 
 @pytest.fixture(scope="module")
@@ -191,40 +192,18 @@ def _rules_text(model):
 def _gram_intertwiner(N, eta, w):
     """Spin-s weights R(w) by the Gram-matrix nullspace solve the pinned
     rule files were written with: the eigenvector of the smallest
-    eigenvalue of sum_x C_x^H C_x, C_x the dense system of the mixed
+    eigenvalue of sum_x C_x^H C_x, C_x the system of the mixed
     Yang-Baxter relation at offset x, normalized to R_{1,1}^{1,1} = 1."""
-    lay = W._layout(N)
-    idx = sorted(tuple(i - 1 for i in key) for key in lay.keys)
-    slots = np.array([lay.index[tuple(i + 1 for i in key)] for key in idx])
-    nn = N * N
-    dim = 2 * nn
-    k = len(idx)
-    arr = np.asarray(idx)
-    rs = arr[:, 0] * N + arr[:, 1]
-    pq = arr[:, 2] * N + arr[:, 3]
-    kk = np.arange(k)[:, None]
-    uu = np.arange(dim)[None, :]
-    eye_n = np.eye(N)
-    for offsets in W._INTERTWINER_OFFSETS:
+    for offsets in INTERTWINER_OFFSETS:
         gram = 0.0
         for x in offsets:
-            l12 = np.kron(W._fundamental_lax(N, eta, x), eye_n)
-            t = W._fundamental_lax(N, eta, x + w).reshape(2, N, 2, N)
-            l13 = np.einsum("ajbq,ip->aijbpq", t, eye_n).reshape(dim, dim)
-            m1, m2 = l12 @ l13, l13 @ l12
-            cols = np.zeros((k, dim, dim), dtype=complex)
-            for alpha in (0, 1):
-                cols[kk, uu, (alpha * nn + pq)[:, None]] += m1[:, alpha * nn + rs].T
-                cols[kk, (alpha * nn + rs)[:, None], uu] -= m2[alpha * nn + pq, :]
-            cols = cols.reshape(k, dim * dim).T
+            cols = intertwiner_system(N, eta, w, x)
             gram = gram + cols.conj().T @ cols
         evals, evecs = np.linalg.eigh(gram)
         if evals[0] > 1e-12 * evals[-1] or evals[1] < 1e-9 * evals[-1]:
             continue
         vec = evecs[:, 0]
-        vals = np.empty(k, dtype=complex)
-        vals[slots] = vec / vec[idx.index((0, 0, 0, 0))]
-        return W.WeightMatrix(N, vals)
+        return W.WeightMatrix(N, vec / vec[0])  # (1,1;1,1) comes first
     raise AssertionError(f"no one-dimensional nullspace at u = {w}")
 
 

@@ -7,11 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from u1bethe import chain as C
 from u1bethe import weights as W
 from u1bethe.errors import ParameterDomain, UnknownGridPoint
 
-from conftest import ETA, count_solves, points, rng_for
+from conftest import ETA, count_builds, points, rng_for, solve_intertwiner
 
 
 def test_ice_rule_structural(six):
@@ -193,9 +192,10 @@ GRID_ETAS = (ETA, -ETA, 0.3 + 0.2j, 0.9, 1.5, 1.3j, -1.3j,
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_fit_agrees_with_solve(N):
-    # the fused coefficients against the independent intertwiner solve,
-    # at fresh points out to the |Re u| = 8 that Newton iterates reach;
-    # a point where the solve refuses is skipped
+    # the fused weights against the independent intertwiner solve, at
+    # fresh points out to the |Re u| = 8 that Newton iterates reach; every
+    # point the weights evaluate at, those where the solve refuses too,
+    # satisfies the relation
     rng = rng_for("fit", N)
     checked = 0
     for eta in GRID_ETAS:
@@ -203,12 +203,26 @@ def test_fit_agrees_with_solve(N):
         for _ in range(12):
             u = complex(rng.uniform(-8, 8), rng.uniform(-np.pi, np.pi))
             try:
-                difference, = kernel.differences([u])
-            except ParameterDomain:
+                residual, = kernel.relation_residuals([u])
+            except ParameterDomain:  # evaluate's pole guard
                 continue
-            assert difference <= 1e-12, (eta, u)
+            assert residual <= 1e-13, (eta, u)
+            solved = solve_intertwiner(N, eta, u)
+            if solved is None:
+                continue
+            assert W.relative_residual(kernel.evaluate(u).values,
+                                       solved) <= 1e-12, (eta, u)
             checked += 1
     assert checked >= 6 * len(GRID_ETAS)
+
+
+def test_relation_holds_where_the_solve_refuses():
+    # a pair that check-r samples on N = 6, eta = 1.5 (default options),
+    # where the intertwiner solve finds no one-dimensional nullspace
+    u = 2.1964474502957363 + 1.3904338376944716j
+    assert solve_intertwiner(6, 1.5, u) is None
+    residual, = W.RationalKernel(6, 1.5).relation_residuals([u])
+    assert residual <= 1e-13
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
@@ -247,137 +261,24 @@ def test_fused_coefficients_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1] != ""
 
 
-@pytest.mark.parametrize("N", [4, 5])
-def test_solve_bytes_bound_a_solve(N):
-    rows = W._layout(N).intertwiner_plan[0]
-    assert W._solve_bytes(N) == 4 * 16 * rows * W.ice_entry_count(N)
-    W._solve_intertwiners(N, ETA, [0.3 + 0.1j])
+def test_large_n_refused_before_any_allocation(monkeypatch):
+    builds = count_builds(monkeypatch)
+    W.higher_spin_xxz(9, ETA)        # accepted: fused
+    assert builds == [(9, ETA)]
     tracemalloc.start()
     try:
-        W._solve_intertwiners(N, ETA, [0.3 + 0.1j])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert W._solve_bytes(N) <= peak <= 1.15 * W._solve_bytes(N)
-
-
-@pytest.mark.parametrize("N", [3, 4, 5, 6])
-def test_batched_solves_equal_one_point_solves(N, monkeypatch):
-    # four points a batch at every N (by default a batch at N >= 5 holds
-    # one point), so that every stacked QR and SVD is checked
-    monkeypatch.setattr(W, "_BATCH_BYTES", 4 * W._solve_bytes(N))
-    rng = rng_for("batch", N)
-    us = [complex(rng.uniform(-8, 8), rng.uniform(-np.pi, np.pi))
-          for _ in range(10)]
-    want = [W._solve_intertwiners(N, ETA, [u])[0] for u in us]
-    assert W._solve_intertwiners(N, ETA, us).tobytes() == \
-        np.array(want).tobytes()
-
-
-def test_points_that_fail_the_gate_are_retried(monkeypatch):
-    # u = 19 + 0.1i has no one-dimensional nullspace at the second
-    # offsets but has one at the first: with the two swapped, it alone is
-    # retried, and ends with the weights of an unpatched solve
-    us = [0.3 + 0.1j, 19 + 0.1j, -0.6 + 0.8j]
-    want = W._solve_intertwiners(3, ETA, us)
-    first, second, third = W._INTERTWINER_OFFSETS
-    monkeypatch.setattr(W, "_INTERTWINER_OFFSETS", (second,))
-    with pytest.raises(ParameterDomain, match="not unique"):
-        W._solve_intertwiners(3, ETA, [us[1]])
-    monkeypatch.setattr(W, "_INTERTWINER_OFFSETS", (second, first, third))
-    got = W._solve_intertwiners(3, ETA, us)
-    assert got[1].tobytes() == want[1].tobytes()
-    assert got.tobytes() == np.array(
-        [W._solve_intertwiners(3, ETA, [u])[0] for u in us]).tobytes()
-
-
-def test_gate_of_a_large_system_does_not_overflow():
-    # unsquared singular values: a system this large overflowed the
-    # squares, which warned (an error here) before the gate rejected it
-    with pytest.raises(ParameterDomain, match="not unique"):
-        W._solve_intertwiners(3, ETA, [700 + 0.1j])
-
-
-def _first_error(N, eta, us):
-    """The message of the first one-point solve of `us` that fails."""
-    for u in us:
-        try:
-            W._solve_intertwiners(N, eta, [u])
-        except ParameterDomain as err:
-            return str(err)
-    return None
-
-
-@pytest.mark.parametrize("batch", [1, 24])
-@pytest.mark.parametrize("eta, us, offsets", [
-    (ETA, [0.3 + 0.1j, 800 + 0.1j, 20 + 0.1j], None),
-    (ETA, [0.2j, 20 + 0.1j, -ETA + 0j, 800 + 0.1j], None),
-    (ETA, [0.3 + 0.1j, -ETA + 0j, 800 + 0.1j], None),
-    (300.0, [0.3 + 0.1j, -0.5j], None),
-    (ETA, [0.3 + 0.1j, 19 + 0.1j, 800 + 0.1j], 1),
-], ids=["overflow", "not-unique", "pivot", "eta-300", "gate-at-the-offsets"])
-def test_a_batch_raises_the_error_of_its_first_failing_point(
-        eta, us, offsets, batch, monkeypatch):
-    # a later point can fail first (an overflow is seen before any retry);
-    # the error raised is still that of the first failing point of `us`
-    if offsets is not None:
-        monkeypatch.setattr(W, "_INTERTWINER_OFFSETS",
-                            (W._INTERTWINER_OFFSETS[offsets],))
-    monkeypatch.setattr(W, "_BATCH_BYTES", batch * W._solve_bytes(3))
-    want = _first_error(3, eta, us)
-    assert want is not None
-    with pytest.raises(ParameterDomain) as got:
-        W._solve_intertwiners(3, eta, us)
-    assert str(got.value) == want
-
-
-def test_batch_memory_stays_within_its_budget():
-    N = 4
-    batch = W._BATCH_BYTES // W._solve_bytes(N)
-    rng = rng_for("batch-memory")
-    us = [W.random_point(rng, ((-8, 8), (-np.pi, np.pi))) for _ in range(161)]
-    W._solve_intertwiners(N, ETA, us[:1])        # builds the layout's plan
-    tracemalloc.start()
-    try:
-        W._solve_intertwiners(N, ETA, us)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert batch > 1
-    assert batch * W._solve_bytes(N) <= peak <= 1.15 * batch * W._solve_bytes(N)
-
-
-def test_large_n_refused_before_any_allocation():
-    assert W._solve_bytes(9) <= W._SOLVE_BYTES < W._solve_bytes(10)
-    W.higher_spin_xxz(9, ETA)        # accepted: fused, nothing solved
-    tracemalloc.start()
-    try:
-        with pytest.raises(ParameterDomain, match="MiB per weight solve"):
-            W.higher_spin_xxz(20, ETA)
+        for N in (10, 20):
+            with pytest.raises(ParameterDomain, match=r"N = 2\.\.9"):
+                W.higher_spin_xxz(N, ETA)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5e6
-
-
-def test_model_and_context_run_no_solve(monkeypatch):
-    calls = count_solves(monkeypatch)
-    model = W.higher_spin_xxz(4, ETA)
-    C.ChainContext(model, 3, [0.0, 0.05 + 0.02j, -0.1])
-    model.eval_r(0.2, 0.1)
-    model.eval_r(0.7, -0.4j)
-    assert calls == []
+    assert builds == [(9, ETA)]
 
 
 def test_models_of_one_n_and_eta_share_one_fit(monkeypatch):
-    builds = []
-    fuse = W._fused_coefficients
-
-    def counted(N, eta):
-        builds.append((N, eta))
-        return fuse(N, eta)
-
-    monkeypatch.setattr(W, "_fused_coefficients", counted)
+    builds = count_builds(monkeypatch)
     a, b = W.higher_spin_xxz(4, ETA), W.higher_spin_xxz(4, ETA)
     assert a.kernel is b.kernel
     a.eval_r(0.2, 0.1)
@@ -392,13 +293,10 @@ def test_weights_depend_on_the_value_of_eta_only():
     # -0.0 == 0.0: a zero part of eta of either sign gives the same
     # weights, though it picks the branch of a root of a negative product
     etas = complex(0.0, -1.3), complex(-0.0, -1.3)
-    us = [0.3 + 0.1j, -0.7 + 0.4j, 1.1 - 0.9j]
     for N in (3, 4, 5):
         kernels = [W.higher_spin_xxz(N, eta).kernel for eta in etas]
         assert kernels[0] is kernels[1]
         a, b = (W.RationalKernel(N, eta)._coef for eta in etas)
-        assert a.tobytes() == b.tobytes()
-        a, b = (W._solve_intertwiners(N, eta, us) for eta in etas)
         assert a.tobytes() == b.tobytes()
 
 
@@ -448,7 +346,7 @@ def test_spectral_decomposition_oracle(N):
                          for k in range(j + 1, N)]) for j in range(N)]
 
     u0 = 0.9 - 0.4j
-    solved = W.WeightMatrix(N, W._solve_intertwiners(N, eta, [u0])[0])
+    solved = W.WeightMatrix(N, solve_intertwiner(N, eta, u0))
     m0, r0, eye = _spectral_frame(solved.dense(), N, u0), rho(u0), np.eye(N * N)
     projs = []
     for j in range(N):
