@@ -30,6 +30,14 @@ DENSE_LIMIT = 4096
 # `to_matrix`'s work arrays: about 1 MiB, whatever the chain length.
 _BLOCK_CELLS = 2 ** 16
 
+
+def _chunk_width(N, size):
+    """Columns per chunk through a plan of `size` states: a gate step on k
+    columns holds the old and the new work array and the (size, N, k)
+    gather of partner states, (N + 2) size k numbers in all."""
+    return max(1, _BLOCK_CELLS // ((N + 2) * size))
+
+
 # Largest N^L a ChainContext accepts: an operator application holds its
 # input and output, N^L complex numbers each, plus work arrays sized by the
 # charge sectors the input occupies -- up to a few hundred MB for an input
@@ -61,6 +69,10 @@ class ChainContext:
             raise ValueError(
                 f"need {L} inhomogeneities, got {len(inhomogeneities)}")
         self.inhomogeneities = inhomogeneities
+        self._mus = np.array(inhomogeneities, dtype=complex)
+        # storage slots of R_{b,1}^{b,1}, b = 1..N
+        self._vacuum_slots = ice_row_slots(model.N)[
+            np.arange(model.N) * model.N, np.arange(model.N)]
         self.N = model.N
         self.dim = model.N ** L
         self._vacuum = {}  # lam -> [w_1(lam), ..., w_N(lam)]
@@ -103,13 +115,13 @@ class ChainOperator:
         return self._apply_fn(np.asarray(vec, dtype=complex))
 
     def to_matrix(self):
-        """The dense form, from chunks of `_BLOCK_CELLS // N^(L+1)` identity
-        columns: a plan holds at most N^(L+1) states (aux digit and chain)."""
+        """The dense form, from chunks of identity columns: a plan holds
+        at most N^(L+1) states (aux digit and chain)."""
         if self.dim > DENSE_LIMIT:
             raise DimensionTooLarge(
                 f"dense form of a dim-{self.dim} operator was requested")
         out = np.empty((self.dim, self.dim), dtype=complex)
-        width = max(1, _BLOCK_CELLS // (self.N * self.dim))
+        width = _chunk_width(self.N, self.N * self.dim)
         for lo in range(0, self.dim, width):
             hi = min(lo + width, self.dim)
             out[:, lo:hi] = self.apply(np.eye(self.dim, hi - lo, -lo,
@@ -291,9 +303,9 @@ def transfer_block(ctx, lam, n):
     """The dense block of T(lam) on sector n, rows and columns in the order
     of `sector_indices`.
 
-    Identity columns go through the contraction in chunks of at most
-    `_BLOCK_CELLS // plan.size` columns, so the work arrays stay near
-    `_BLOCK_CELLS` complex numbers and no array has N^L rows.
+    Identity columns go through the contraction in chunks whose work
+    arrays stay near `_BLOCK_CELLS` complex numbers, and no array has N^L
+    rows.
     """
     require_nonempty_sector(ctx.N, ctx.L, n)
     dim = sector_dimension(ctx.N, ctx.L, n)
@@ -302,7 +314,7 @@ def transfer_block(ctx, lam, n):
     for a in range(1, ctx.N + 1):
         # total charge n + a - 1: segment a - 1 is sector n, in index order
         plan = ctx._plan((n + a - 1,))
-        width = max(1, _BLOCK_CELLS // plan.size)
+        width = _chunk_width(ctx.N, plan.size)
         for lo in range(0, dim, width):
             hi = min(lo + width, dim)
             eye = np.eye(dim, hi - lo, -lo, dtype=complex)  # columns lo..hi-1
@@ -318,19 +330,27 @@ def reference_state(N, L):
 
 
 def vacuum_weight(ctx, lam, a):
-    """w_a(lam): the diagonal monodromy eigenvalue on the reference state."""
+    """w_a(lam): the diagonal monodromy eigenvalue on the reference state,
+    the product over sites k of R_{a,1}^{a,1}(lam, mu_k).
+
+    A model of difference form evaluates every site in one array call
+    over u = lam - mu_k (`ModelSpec.array_fn`); the others take L
+    `eval_r` calls.  Each product runs in site order over scalars, as an
+    array multiply would round differently.
+    """
     if not 1 <= a <= ctx.N:
         raise IndexError(f"index {a} outside 1..{ctx.N}")
     key = complex(lam)
     got = ctx._vacuum.get(key)
     if got is None:
-        # all N weights in one pass over the sites, each multiplied in
-        # site order
-        got = [1.0 + 0.0j] * ctx.N
-        for mu in ctx.inhomogeneities:
-            w = eval_r(ctx.model, lam, mu)
-            for b in range(ctx.N):
-                got[b] *= w.entry(b + 1, 1, b + 1, 1)
+        model, lam = ctx.model, _finite(key)
+        if model.array_fn is not None:
+            sites = model.array_fn(lam - ctx._mus)
+        else:
+            sites = np.array([eval_r(model, lam, mu).values
+                              for mu in ctx.inhomogeneities])
+        got = [np.complex128(math.prod(entries, start=1.0 + 0.0j))
+               for entries in sites[:, ctx._vacuum_slots].T.tolist()]
         if len(ctx._vacuum) >= ctx._VACUUM_CAP:
             ctx._vacuum.clear()  # pure values: recompute if evicted
         ctx._vacuum[key] = got

@@ -4,7 +4,9 @@ A weight matrix R(lambda, mu) stores only its ice entries: the ice rule
 a + b = c + d forces every other entry to vanish structurally.  They lie
 in the charge blocks q = a + b - 1 (q = 1..2N-1), with a, c running over
 max(1, q+1-N)..min(q, N), and are kept in one flat array, block by block.
-Evaluations are cached per model within a fixed byte budget.
+Evaluations are cached per model within a fixed byte budget.  The two
+families of difference form also evaluate a whole array of u = lambda - mu
+in one call (`ModelSpec.array_fn`), bit for bit the scalar evaluations.
 
 Built-in families:
 
@@ -241,7 +243,7 @@ class ModelSpec:
     root_window = ((-1.6, 1.6), (-1.7, 1.7))
 
     def __init__(self, name, N, params, eval_fn, table_data=None,
-                 rapidity_period=None, kernel=None):
+                 rapidity_period=None, kernel=None, array_fn=None):
         if N < 2:
             raise ParameterDomain(f"N must be >= 2, got {N}")
         self.name = name
@@ -253,6 +255,10 @@ class ModelSpec:
         self.solver_ok = table_data is None  # table models: no free evaluation
         # the RationalKernel behind eval_fn, for models evaluated through one
         self.kernel = kernel
+        # for a model of difference form, array_fn(us) maps a 1-D complex
+        # array of u = lam - mu to the (len(us), K) flat ice entries, row s
+        # bit for bit eval_r's values at us[s]; None for the other models
+        self.array_fn = array_fn
         self._eval_fn = eval_fn
         self._cache = {}
         self._cache_cap = max(1, self.CACHE_BYTES // cache_entry_bytes(self.N))
@@ -312,6 +318,27 @@ def _six_vertex_weights(eta, c, u):
     return WeightMatrix(2, np.array([1.0, b, c, c, b, 1.0], dtype=complex))
 
 
+def _six_vertex_array(eta, c, us):
+    """`_six_vertex_weights` at every u of the 1-D array `us`, as
+    (len(us), 6) flat entries with the same bits.  The guards take the
+    same decisions (np.hypot is the scalar abs, which np.abs of an array
+    is not to the last bit), and the scalar evaluation at the first point
+    refused raises the error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.sinh(us + eta)
+        b = np.sinh(us)
+        refused = ~(np.isfinite(a) & np.isfinite(b))
+        refused |= np.hypot(a.real, a.imag) < 1e-12 * np.maximum(
+            np.maximum(1.0, np.hypot(b.real, b.imag)), abs(c))
+    if refused.any():
+        _six_vertex_weights(eta, c, complex(us[refused.argmax()]))
+    out = np.empty((len(us), 6), dtype=complex)
+    out[:, 0::5] = 1.0
+    out[:, 1::3] = (b / a)[:, None]
+    out[:, 2:4] = (c / a)[:, None]
+    return out
+
+
 def six_vertex(eta=0.4375):
     """Symmetric six-vertex model (N = 2) with anisotropy `eta`.
 
@@ -324,8 +351,11 @@ def six_vertex(eta=0.4375):
     def _eval(lam, mu):
         return _six_vertex_weights(eta, c, lam - mu)
 
+    def _eval_array(us):
+        return _six_vertex_array(eta, c, us)
+
     return ModelSpec("six_vertex", 2, {"eta": eta}, _eval,
-                     rapidity_period=1j * np.pi)
+                     rapidity_period=1j * np.pi, array_fn=_eval_array)
 
 
 def _qbracket(x, eta):
@@ -437,22 +467,45 @@ class RationalKernel:
         # reversed, z^-d P_k(z) in powers of 1/z
         self._coef = _fused_coefficients(N, eta)
         self._powers = np.arange(2 * N - 1)
+        self._q_size = sum(abs(qj) for qj in self._coef[0])
 
     def evaluate(self, u):
         """The weights at u.  P_k and Q are both scaled by z^-d
         (Re u > 0) or z^d, which cancels, so only powers of a t = e^-u or
         e^u with |t| <= 1 are formed."""
-        if u.real > 0:
-            vals = self._coef[:, ::-1] @ cmath.exp(-u) ** self._powers
-        else:
-            vals = self._coef @ cmath.exp(u) ** self._powers
+        flip = u.real > 0
+        pw = cmath.exp(-u if flip else u) ** self._powers
+        return WeightMatrix(self.N, self._entries(u, flip, pw))
+
+    def evaluate_array(self, us):
+        """`evaluate`'s flat entries at every u of the 1-D array `us`, as a
+        (len(us), K) array with the same bits.  np.exp and the powers
+        vectorize bit for bit; each point keeps its own matrix-vector
+        product, which a stacked matrix product does not reproduce."""
+        flip = us.real > 0
+        pws = np.exp(np.where(flip, -us, us))[:, None] ** self._powers
+        out = np.empty((len(us), len(self._coef)), dtype=complex)
+        for s, u in enumerate(us):
+            out[s] = self._entries(u, flip[s], pws[s])
+        return out
+
+    def _entries(self, u, flip, pw):
+        """The entries at u from pw, the powers 0..2d of t = e^-u (`flip`)
+        or e^u.  u is a pole where Q's terms q_j t^j cancel: |Q| is below
+        1e-9 of the sum of their moduli.  As |t| <= 1 that sum is at most
+        sum |q_j| (2e-9 leaves room for rounding), so it is formed only
+        where |Q| is that small, and scalar by scalar, so that the scalar
+        and the array evaluation take the same decision."""
+        coef = self._coef[:, ::-1] if flip else self._coef
+        vals = coef @ pw
         q = vals[0]
-        if abs(q) < 1e-9 * np.abs(vals).max():
-            raise ParameterDomain(
-                f"higher-spin weights have a pole at u = {u}: Q(e^u) = 0")
+        if abs(q) < 2e-9 * self._q_size and abs(q) < 1e-9 * sum(
+                abs(qj * tj) for qj, tj in zip(coef[0], pw)):
+            raise ParameterDomain(f"higher-spin weights have a pole at "
+                                  f"u = {complex(u)}: Q(e^u) = 0")
         vals /= q
         vals[0] = 1.0
-        return WeightMatrix(self.N, vals)
+        return vals
 
     def relation_residuals(self, us):
         """The relative residual, at each u of `us`, of the mixed
@@ -514,7 +567,8 @@ def higher_spin_xxz(N=3, eta=0.4375):
         return kernel.evaluate(lam - mu)
 
     return ModelSpec("higher_spin_xxz", N, {"eta": eta}, _eval,
-                     rapidity_period=1j * np.pi, kernel=kernel)
+                     rapidity_period=1j * np.pi, kernel=kernel,
+                     array_fn=kernel.evaluate_array)
 
 
 def permutation_model(N):

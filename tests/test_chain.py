@@ -6,7 +6,7 @@ import pytest
 from u1bethe import chain as C
 from u1bethe import verify as V
 from u1bethe import weights as W
-from u1bethe.errors import DimensionTooLarge, EmptySector
+from u1bethe.errors import DimensionTooLarge, EmptySector, ParameterDomain
 
 from conftest import ETA, points, rng_for
 
@@ -175,6 +175,30 @@ def test_vacuum_weight_is_bitwise_site_product(ctx6, ctx3, monkeypatch):
             assert len(ctx._vacuum) <= 2
 
 
+def test_vacuum_weight_evaluates_all_sites_in_one_call(six, monkeypatch):
+    # six_vertex has an array evaluator: no scalar evaluation, and the
+    # same bits as a model that evaluates site by site
+    mus = [0.05 * k + 0.02j * k for k in range(1, 15)]
+    ctx = C.ChainContext(six, 14, mus)
+    scalar = C.ChainContext(W.custom_model(2, six.eval_r), 14, mus)
+    real = W.ModelSpec.eval_r
+    calls = []
+
+    def counted(model, lam, mu):
+        calls.append(model)
+        return real(model, lam, mu)
+
+    monkeypatch.setattr(W.ModelSpec, "eval_r", counted)
+    lam = 0.31 - 0.17j
+    got = [C.vacuum_weight(ctx, lam, a) for a in (1, 2)]
+    assert calls == []
+    want = [C.vacuum_weight(scalar, lam, a) for a in (1, 2)]
+    assert calls == [scalar.model] * 14
+    assert [(w.real, w.imag) for w in got] == [(w.real, w.imag) for w in want]
+    with pytest.raises(ParameterDomain):
+        C.vacuum_weight(ctx, float("nan"), 1)
+
+
 def test_single_site_vacuum_at_regular_point(six):
     ctx = C.ChainContext(six, 1, [0.2])
     # normalized weights: rho(lam, lam) is the unit (1,1;1,1) entry
@@ -302,9 +326,10 @@ def test_to_matrix_memory_is_result_sized(six):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 16 MB result, the contraction plans (3.4 MB) and about 5 MB of
-    # chunk work arrays; a single identity apply peaked at 193 MB
-    assert peak < 1.75 * dense.nbytes
+    # the 16 MB result, the contraction plans (3.4 MB) and the chunk work
+    # arrays of about 1 MiB (1.24 x the result in all); a single identity
+    # apply peaked at 193 MB
+    assert peak < 1.35 * dense.nbytes
 
 
 def test_exact_spectrum_memory_is_sector_sized(six):
@@ -319,8 +344,9 @@ def test_exact_spectrum_memory_is_sector_sized(six):
     finally:
         tracemalloc.stop()
     assert sum(len(evs) for _, evs in spectrum) == ctx.dim
-    # the block, a copy inside eigvals and about 4 MB of chunk work arrays
-    assert peak < 4 * block
+    # the block, a copy inside eigvals and chunk work arrays of about
+    # 1 MiB: 1.72 x the block in all
+    assert peak < 2 * block
 
 
 def test_matrix_free_above_dense_limit(six):

@@ -76,9 +76,40 @@ def test_six_vertex_at_coincident_is_permutation(six):
     assert np.max(np.abs(w.dense() - perm)) < 1e-12
 
 
+def _refusal(evaluate, *args):
+    with pytest.raises(ParameterDomain) as err:
+        evaluate(*args)
+    return str(err.value)
+
+
+def _refused_alike(model, u):
+    """eval_r at u = lam - mu and the array evaluator, at u between two
+    good points, raise the same ParameterDomain."""
+    scalar = _refusal(model.eval_r, u, 0.0)
+    us = np.array([0.11 + 0.07j, u, 0.23 - 0.31j])
+    assert _refusal(model.array_fn, us) == scalar
+    return scalar
+
+
 def test_six_vertex_pole_raises(six):
-    with pytest.raises(ParameterDomain):
-        six.eval_r(-ETA, 0.0)
+    # the pole u = -eta (mod i pi), and sinh overflowing at Re u = 800
+    for u in (-ETA, -ETA + 1j * np.pi):
+        assert "pole" in _refused_alike(six, u)
+    for u in (800.0 + 0.3j, -800.0):
+        assert "overflow" in _refused_alike(six, u)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_array_evaluator_is_bitwise_eval_r(N):
+    # the array evaluator behind vacuum weights against eval_r, to the
+    # bit, on both signs of Re u, out to |Re u| = 8
+    rng = rng_for("array", N)
+    re = rng.uniform(0, 8, 200) * np.where(np.arange(200) % 2, 1, -1)
+    us = re + 1j * rng.uniform(-np.pi, np.pi, 200)
+    for eta in (ETA, 1.5, 0.3 + 0.2j):
+        model = W.higher_spin_xxz(N, eta)
+        want = np.array([model.eval_r(complex(u), 0.0).values for u in us])
+        assert model.array_fn(us).tobytes() == want.tobytes()
 
 
 def test_higher_spin_reduces_to_six_vertex(six):
@@ -225,6 +256,24 @@ def test_relation_holds_where_the_solve_refuses():
     assert residual <= 1e-13
 
 
+@pytest.mark.parametrize("N, eta, u", [
+    (5, 1.5, -5.378502199058394 - 2.6397182504092553j),
+    (5, 1.5, -6.100646531977139 + 1.5514051451462931j),
+    (6, 0.9, -5.568234536156673 - 2.388162494079045j),
+    (6, 0.9, -7.387643887933141 + 1.3765184207768j),
+    (6, 0.9, -6.330985516553946 - 1.3947266055059098j),
+    (6, 1.5, -5.710169012873939 - 2.5218810477744484j),
+    (6, 1.5, -6.3020345893925835 + 2.0908490321531357j),
+    (6, 1.5, -3.287331340279408 - 0.4303296639559693j),
+])
+def test_large_weights_are_not_poles(N, eta, u):
+    # grid points of test_fit_agrees_with_solve 0.5-3.2 away from every
+    # zero of Q, where the weights span more than 1e9 (and the solve
+    # refuses): they evaluate, and satisfy the relation
+    residual, = W.RationalKernel(N, eta).relation_residuals([u])
+    assert residual <= 1e-13
+
+
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_fused_q_is_the_closed_form(N):
     # up to a constant, Q = prod_{j=1}^{N-1} 2 sinh(u + j eta), whose zeros
@@ -313,13 +362,12 @@ def test_shared_kernels_are_bounded():
 def test_pole_of_q_raises():
     # Q = prod_j 2 sinh(u + j eta) vanishes at the fusion poles
     # u = -j eta and -j eta + i pi, j = 1..N-1
-    for N in (3, 4):
-        for eta in (ETA, 0.3 + 0.2j):
+    for N in (3, 4, 5, 6):
+        for eta in (ETA, 0.3 + 0.2j, 0.9, 1.5):
             model = W.higher_spin_xxz(N, eta)
             for j in range(1, N):
                 for u in (-j * eta, -j * eta + 1j * np.pi):
-                    with pytest.raises(ParameterDomain, match="pole"):
-                        model.eval_r(u, 0.0)
+                    assert "pole" in _refused_alike(model, u)
 
 
 def _spectral_frame(r_dense, N, u):
