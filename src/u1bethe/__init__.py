@@ -8,10 +8,9 @@ weight identities, off-shell expansions) against dense brute-force
 oracles.
 """
 
-from .amplitudes import (AmplitudeCache, AmplitudeKey, F2_closed, F_offshell,
-                         H_function, P_a, Pbar_a, det_D2, det_D3, det_D4,
-                         det_D4_cont, det_D5, det_D5_cont, g_coefficient,
-                         theta, theta_less)
+from .amplitudes import (F2_closed, F_offshell, H_function, P_a, Pbar_a,
+                         det_D2, det_D3, det_D4, det_D4_cont, det_D5,
+                         det_D5_cont, g_coefficient, theta, theta_less)
 from .bethe import (BetheState, OffshellTerm, RootSet, bae_residual,
                     build_bethe_vector, eigenvalue, expansion_for_diagonal,
                     offshell_expansion, solve_bae)

@@ -13,7 +13,6 @@ labels (1-based) decide the ordered exchange factor theta_<.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -22,8 +21,7 @@ from .errors import IndexOutOfRange, Singularity
 from .weights import eval_r, relative_residual, worst_residual
 
 __all__ = [
-    "AmplitudeKey", "AmplitudeCache", "MIN_ROOT_SEPARATION",
-    "theta", "theta_less", "det_guarded",
+    "MIN_ROOT_SEPARATION", "theta", "theta_less", "det_guarded",
     "det_D2", "det_D3", "det_D4", "det_D5", "det_D4_cont", "det_D5_cont",
     "P_a", "Pbar_a", "F_offshell", "F2_closed", "H_function",
     "g_coefficient", "ratio_11_21", "scattering", "exchange_product",
@@ -33,32 +31,6 @@ __all__ = [
 MIN_ROOT_SEPARATION = 1e-8
 
 PIVOT_RTOL = 1e-14  # pivot below PIVOT_RTOL * max|entry| raises Singularity
-
-
-@dataclass(frozen=True)
-class AmplitudeKey:
-    """Memoization key: function kind, discrete indices, ordered arguments."""
-    kind: str
-    indices: tuple
-    arguments: tuple
-
-
-class AmplitudeCache:
-    """Exact-key memo of amplitudes and Bethe sub-vectors; hits are exact."""
-
-    def __init__(self):
-        self._store = {}
-
-    def get_or_compute(self, key, fn):
-        try:
-            return self._store[key]
-        except KeyError:
-            val = fn()
-            self._store[key] = val
-            return val
-
-    def __len__(self):
-        return len(self._store)
 
 
 def det_guarded(mat):
@@ -326,7 +298,7 @@ def F_offshell(model, c, b, a, lam, roots, cache=None):
 
     Base data: F with one root is +/- the single-entry ratio; zero roots
     give 1.  Larger b follows the three recurrences (c = 0, 0 < c < b,
-    c = b); values are memoized in `cache` keyed by exact arguments.
+    c = b), each value memoized in the dict `cache` (a fresh one if None).
     """
     N = model.N
     roots = tuple(complex(r) for r in roots)
@@ -341,10 +313,12 @@ def F_offshell(model, c, b, a, lam, roots, cache=None):
         raise IndexOutOfRange(f"expected {b} roots, got {len(roots)}")
     require_distinct(roots)
     if cache is None:
-        return _f_compute(model, c, b, a, lam, roots, None)
-    key = AmplitudeKey("F", (c, b, a), (complex(lam),) + roots)
-    return cache.get_or_compute(
-        key, lambda: _f_compute(model, c, b, a, lam, roots, cache))
+        cache = {}
+    key = ("F", c, b, a, complex(lam), roots)
+    val = cache.get(key)
+    if val is None:
+        val = cache[key] = _f_compute(model, c, b, a, lam, roots, cache)
+    return val
 
 
 def _f_compute(model, c, b, a, lam, roots, cache):

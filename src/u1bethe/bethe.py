@@ -17,8 +17,9 @@ import numpy as np
 from . import amplitudes as amp
 from .chain import (StateVector, monodromy_element, reference_state,
                     require_nonempty_sector, transfer_matrix, vacuum_weight)
-from .errors import (InvalidOption, NoConvergence, ParameterDomain,
-                     Singularity, SingularJacobian, UnknownGridPoint)
+from .errors import (IndexOutOfRange, InvalidOption, NoConvergence,
+                     ParameterDomain, Singularity, SingularJacobian,
+                     UnknownGridPoint)
 
 _EVAL_ERRORS = (Singularity, ParameterDomain, UnknownGridPoint)
 
@@ -64,13 +65,14 @@ class BetheState:
 
 
 def build_bethe_vector(ctx, roots, cache=None):
-    """Construct the unnormalized n-particle vector on the chain of `ctx`."""
+    """Construct the unnormalized n-particle vector on the chain of `ctx`;
+    sub-vectors and amplitudes are memoized in the dict `cache`, if given."""
     if isinstance(roots, RootSet):
         roots = roots.roots
     roots = amp.require_distinct(roots)
     require_nonempty_sector(ctx.N, ctx.L, len(roots))
     if cache is None:
-        cache = amp.AmplitudeCache()
+        cache = {}
     vec = _phi(ctx, roots, cache)
     return BetheState(RootSet(roots), StateVector(ctx.N, ctx.L, vec))
 
@@ -79,8 +81,11 @@ def _phi(ctx, roots, cache):
     """Amplitudes of the vector of `roots`, memoized in `cache`."""
     if not roots:
         return reference_state(ctx.N, ctx.L).amplitudes
-    key = amp.AmplitudeKey("phi", (ctx,), roots)
-    return cache.get_or_compute(key, lambda: _phi_sum(ctx, roots, cache))
+    key = ("phi", ctx, roots)
+    vec = cache.get(key)
+    if vec is None:
+        vec = cache[key] = _phi_sum(ctx, roots, cache)
+    return vec
 
 
 def _phi_sum(ctx, roots, cache):
@@ -115,7 +120,7 @@ def bae_residual(ctx, roots, j):
         roots = roots.roots
     n = len(roots)
     if not 1 <= j <= n:
-        raise IndexError(f"equation index {j} outside 1..{n}")
+        raise IndexOutOfRange(f"equation index {j} outside 1..{n}")
     model = ctx.model
     lj = roots[j - 1]
     w1 = vacuum_weight(ctx, lj, 1)
@@ -268,7 +273,7 @@ def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
     """
     if n == 0:
         return [RootSet(())]
-    if not ctx.model.solver_ok:
+    if ctx.model.table_data is not None:
         raise InvalidOption(
             "table models store fixed grid points; the solver needs "
             "arbitrary-argument weight evaluation")
@@ -373,7 +378,7 @@ def expansion_for_diagonal(ctx, lam, roots, a, cache=None):
         roots = roots.roots
     roots = amp.require_distinct(roots)
     if cache is None:
-        cache = amp.AmplitudeCache()
+        cache = {}
     model = ctx.model
     N = ctx.N
     n = len(roots)
@@ -422,7 +427,7 @@ def offshell_expansion(ctx, lam, roots, cache=None):
     if isinstance(roots, RootSet):
         roots = roots.roots
     if cache is None:
-        cache = amp.AmplitudeCache()
+        cache = {}
     wanted_total = None
     terms = []
     for a in range(1, ctx.N + 1):

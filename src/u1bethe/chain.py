@@ -12,18 +12,18 @@ import math
 
 import numpy as np
 
-from .errors import DimensionTooLarge, EmptySector
+from .errors import DimensionTooLarge, EmptySector, IndexOutOfRange
 from .weights import _finite, eval_r, ice_entry_count, ice_row_slots
 
 __all__ = [
     "DENSE_LIMIT", "MAX_CHAIN_DIM", "ChainContext", "ChainOperator",
     "StateVector", "lax", "monodromy_element", "transfer_matrix",
     "reference_state", "vacuum_weight", "spin_z_total", "sector_indices",
-    "transfer_block",
+    "transfer_block", "dense_sector_dimension",
 ]
 
 # Largest dimension of a dense matrix that may be requested: the full N^L
-# form of an operator, or one sector block of T(lam) in `exact_spectrum`.
+# form of an operator, or one sector block of T(lam) (`transfer_block`).
 DENSE_LIMIT = 4096
 
 # Complex numbers (16 B each) per column chunk of `transfer_block`'s and
@@ -187,7 +187,7 @@ def monodromy_element(ctx, lam, a, b):
     """
     N = ctx.N
     if not (1 <= a <= N and 1 <= b <= N):
-        raise IndexError(f"auxiliary indices ({a},{b}) outside 1..{N}")
+        raise IndexOutOfRange(f"auxiliary indices ({a},{b}) outside 1..{N}")
     return ChainOperator(N, ctx.L, b - a,
                          lambda vec: _apply_monodromy_sum(ctx, lam, ((a, b),), vec))
 
@@ -305,10 +305,10 @@ def transfer_block(ctx, lam, n):
 
     Identity columns go through the contraction in chunks whose work
     arrays stay near `_BLOCK_CELLS` complex numbers, and no array has N^L
-    rows.
+    rows.  A sector over `DENSE_LIMIT` states raises DimensionTooLarge
+    before anything is allocated.
     """
-    require_nonempty_sector(ctx.N, ctx.L, n)
-    dim = sector_dimension(ctx.N, ctx.L, n)
+    dim = dense_sector_dimension(ctx.N, ctx.L, n)
     weights = _site_weights(ctx, lam)
     block = np.zeros((dim, dim), dtype=complex)
     for a in range(1, ctx.N + 1):
@@ -339,7 +339,7 @@ def vacuum_weight(ctx, lam, a):
     array multiply would round differently.
     """
     if not 1 <= a <= ctx.N:
-        raise IndexError(f"index {a} outside 1..{ctx.N}")
+        raise IndexOutOfRange(f"index {a} outside 1..{ctx.N}")
     key = complex(lam)
     got = ctx._vacuum.get(key)
     if got is None:
@@ -377,3 +377,15 @@ def sector_dimension(N, L, n):
 def require_nonempty_sector(N, L, n):
     if n < 0 or sector_dimension(N, L, n) == 0:
         raise EmptySector(f"sector n={n} is empty for N={N}, L={L}")
+
+
+def dense_sector_dimension(N, L, n):
+    """The dimension of sector n, which must be nonempty and within
+    `DENSE_LIMIT`: the side of its dense block."""
+    require_nonempty_sector(N, L, n)
+    dim = sector_dimension(N, L, n)
+    if dim > DENSE_LIMIT:
+        raise DimensionTooLarge(
+            f"sector n={n} has {dim} states, over the dense limit "
+            f"{DENSE_LIMIT}")
+    return dim

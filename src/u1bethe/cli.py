@@ -211,7 +211,7 @@ def cmd_check_r(model, ctx, opts):
     results = []
     residuals = []
     kernel = model.kernel
-    if model.name == "table":
+    if model.table_data is not None:
         keys = [(l, m) for (l, m, _w) in model.table_data]
         uni = [check_unitarity(model, l, m) for (l, m) in keys]
         reg_keys = [(l,) for (l, m) in keys if l == m]
@@ -333,7 +333,7 @@ def cmd_offshell(model, ctx, opts):
         raise InvalidOption("offshell needs --root entries or --n > 0")
     lam = _parse_root(opts.lam) if opts.lam else \
         random_point(rng, model.sample_window)
-    cache = amp.AmplitudeCache()
+    cache = {}
     state = bt.build_bethe_vector(ctx, roots, cache)
     results = []
     residuals = []

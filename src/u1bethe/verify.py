@@ -19,11 +19,10 @@ import numpy as np
 from . import amplitudes as amp
 from . import bethe as bt
 from .amplitudes import relative_residual, worst_residual
-from .chain import (DENSE_LIMIT, monodromy_element, reference_state,
-                    require_nonempty_sector, sector_dimension, transfer_block,
-                    vacuum_weight)
-from .errors import (DegenerateParameters, DimensionTooLarge, IndexOutOfRange,
-                     ParameterDomain, Singularity)
+from .chain import (dense_sector_dimension, monodromy_element,
+                    reference_state, transfer_block, vacuum_weight)
+from .errors import (DegenerateParameters, IndexOutOfRange, ParameterDomain,
+                     Singularity)
 from .weights import charge_block, eval_r, random_point
 
 __all__ = [
@@ -52,12 +51,7 @@ def exact_spectrum(ctx, lam, sectors=None):
     sectors = tuple(range((ctx.N - 1) * ctx.L + 1) if sectors is None
                     else sectors)
     for n in sectors:
-        require_nonempty_sector(ctx.N, ctx.L, n)
-        dim = sector_dimension(ctx.N, ctx.L, n)
-        if dim > DENSE_LIMIT:
-            raise DimensionTooLarge(
-                f"sector n={n} has {dim} states, over the dense limit "
-                f"{DENSE_LIMIT}")
+        dense_sector_dimension(ctx.N, ctx.L, n)
     out = []
     for n in sectors:
         evals = np.linalg.eigvals(transfer_block(ctx, lam, n))
@@ -813,7 +807,7 @@ def appendix_operator_checks(ctx, lam, l2, l3, cache=None, tol=1e-9):
     model = ctx.model
     N = ctx.N
     if cache is None:
-        cache = amp.AmplitudeCache()
+        cache = {}
     phi2 = bt.build_bethe_vector(ctx, (l2, l3), cache).vector.amplitudes
     ref = reference_state(N, ctx.L).amplitudes
     reports = []

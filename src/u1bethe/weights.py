@@ -252,7 +252,6 @@ class ModelSpec:
         self.table_data = table_data
         # weights invariant under lam -> lam + rapidity_period, when set
         self.rapidity_period = rapidity_period
-        self.solver_ok = table_data is None  # table models: no free evaluation
         # the RationalKernel behind eval_fn, for models evaluated through one
         self.kernel = kernel
         # for a model of difference form, array_fn(us) maps a 1-D complex

@@ -121,7 +121,7 @@ def test_criterion_4_on_shell_spectrum(six, spin1):
 def test_criterion_5_offshell_expansion(spin1):
     ctx = C.ChainContext(spin1, 3)
     rng = rng_for("acc5")
-    cache = A.AmplitudeCache()
+    cache = {}
     res = []
     for n in (1, 2, 3):
         roots = points(spin1, rng, n)
@@ -160,7 +160,7 @@ def test_criterion_6_exchange_symmetry(six, spin1):
                               * A.theta(model, mu, lam) - 1.0))
     worst_theta = worst_residual(thetas)
     ctx = C.ChainContext(spin1, 3)
-    cache = A.AmplitudeCache()
+    cache = {}
     rng = rng_for("acc6v")
     vecs = []
     for n in (2, 3):
@@ -227,7 +227,7 @@ def test_criterion_8_f2_cross_form(spin1, spin32):
     res = []
     for model in (spin1, spin32):
         rng = rng_for("acc8", model.N)
-        cache = A.AmplitudeCache()
+        cache = {}
         for _ in range(50):
             lam, l1, l2 = points(model, rng, 3)
             for a in range(1, model.N - 1):

@@ -186,7 +186,7 @@ def test_one_particle_amplitudes(spin1):
 def test_f2_closed_vs_recursive(fixture, request):
     model = request.getfixturevalue(fixture)
     rng = rng_for("f2c", model.N)
-    cache = A.AmplitudeCache()
+    cache = {}
     for _ in range(50):
         lam, l1, l2 = points(model, rng, 3)
         for a in range(1, model.N - 1):
@@ -212,7 +212,7 @@ def test_f2_exchange_symmetry(spin1, spin32):
 def test_f3_exchange_symmetry(spin32):
     # both adjacent swaps, for the boundary amplitude indices c in {0, 3}
     rng = rng_for("f3x")
-    cache = A.AmplitudeCache()
+    cache = {}
     for _ in range(5):
         lam, l1, l2, l3 = points(spin32, rng, 4)
         for c in (0, 3):
@@ -237,13 +237,37 @@ def test_f_index_validation(spin1):
 
 
 def test_f_cache_bit_identical(spin1):
-    cache = A.AmplitudeCache()
+    cache = {}
     args = (0, 2, 1, 0.31 + 0.12j, (0.4 - 0.2j, -0.15 + 0.33j))
     v1 = A.F_offshell(spin1, *args, cache)
     v2 = A.F_offshell(spin1, *args, cache)
     assert v1 == v2 and len(cache) > 0
-    fresh = A.F_offshell(spin1, *args, A.AmplitudeCache())
+    fresh = A.F_offshell(spin1, *args, {})
     assert fresh == v1
+
+
+@pytest.mark.parametrize("c", [0, 3])
+def test_f_without_cache_computes_each_amplitude_once(spin32, c, monkeypatch):
+    # the recurrences revisit sub-amplitudes: without a caller's dict a
+    # fresh one still serves the whole recursion, so no (c, b, a, lam,
+    # roots) is computed twice and the value keeps the shared dict's bits
+    # (16 and 46 amplitudes; the unmemoized recursion ran 18 and 70)
+    lam, *roots = points(spin32, rng_for("fonce", c), 4)
+    args = (c, 3, 1, lam, tuple(roots))
+    shared = {}
+    want = A.F_offshell(spin32, *args, shared)
+    calls = []
+    compute = A._f_compute
+
+    def counted(model, c, b, a, lam, roots, cache):
+        calls.append((c, b, a, complex(lam), roots))
+        return compute(model, c, b, a, lam, roots, cache)
+
+    monkeypatch.setattr(A, "_f_compute", counted)
+    got = A.F_offshell(spin32, *args)
+    assert np.array_equal(np.array([got]).view(np.float64),
+                          np.array([want]).view(np.float64))
+    assert len(calls) == len(set(calls)) == len(shared)
 
 
 # ----------------------------------------------------------------------

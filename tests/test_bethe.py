@@ -8,7 +8,8 @@ from u1bethe import bethe as B
 from u1bethe import chain as C
 from u1bethe import verify as V
 from u1bethe import weights as W
-from u1bethe.errors import EmptySector, NoConvergence, Singularity
+from u1bethe.errors import (EmptySector, IndexOutOfRange, NoConvergence,
+                            Singularity)
 
 from conftest import points, rng_for
 
@@ -85,7 +86,7 @@ def test_coincident_roots_rejected(ctx3):
 # ----------------------------------------------------------------------
 
 def test_exchange_symmetry_two_and_three(ctx3h, spin1):
-    cache = A.AmplitudeCache()
+    cache = {}
     l1, l2, l3 = ROOTS
     v2 = B.build_bethe_vector(ctx3h, (l1, l2), cache).vector.amplitudes
     v2s = B.build_bethe_vector(ctx3h, (l2, l1), cache).vector.amplitudes
@@ -100,7 +101,7 @@ def test_exchange_symmetry_two_and_three(ctx3h, spin1):
 
 def test_exchange_symmetry_four_particles(ctx3h, spin1):
     rng = rng_for("phi4")
-    cache = A.AmplitudeCache()
+    cache = {}
     for _ in range(5):
         roots = points(spin1, rng, 4)
         base = B.build_bethe_vector(ctx3h, roots, cache).vector.amplitudes
@@ -182,6 +183,13 @@ def test_on_shell_weight_product(ctx6):
 def test_solver_n0_trivial(ctx6):
     sets = B.solve_bae(ctx6, 0)
     assert len(sets) == 1 and sets[0].roots == ()
+
+
+def test_bae_residual_index_out_of_range(ctx6):
+    roots = (0.1 + 0.2j, -0.3 + 0.1j)
+    for j in (0, 3):
+        with pytest.raises(IndexOutOfRange):
+            B.bae_residual(ctx6, roots, j)
 
 
 def test_solver_rejects_table_models(six):
@@ -324,7 +332,7 @@ def test_one_particle_expansion_structure(ctx3, spin1):
 def test_per_diagonal_completeness(ctx3h, n):
     lam = 0.29 + 0.17j
     roots = ROOTS[:n]
-    cache = A.AmplitudeCache()
+    cache = {}
     st = B.build_bethe_vector(ctx3h, roots, cache)
     for a in range(1, 4):
         wanted, terms = B.expansion_for_diagonal(ctx3h, lam, roots, a, cache)
@@ -372,7 +380,7 @@ def test_offshell_term_metadata(ctx3h):
 
 def _per_a_completeness(model, L, roots, lam):
     ctx = C.ChainContext(model, L)
-    cache = A.AmplitudeCache()
+    cache = {}
     st = B.build_bethe_vector(ctx, roots, cache)
     worst = 0.0
     for a in range(1, model.N + 1):
@@ -402,7 +410,7 @@ def test_four_root_amplitude_tower():
     from u1bethe import weights as W
     m5 = W.higher_spin_xxz(5, 0.4375)
     assert _per_a_completeness(m5, 1, DEEP_ROOTS, 0.29 + 0.17j) < 1e-7
-    cache = A.AmplitudeCache()
+    cache = {}
     lam = 0.31 + 0.21j
     for c in (0, 4):
         base = A.F_offshell(m5, c, 4, 1, lam, DEEP_ROOTS, cache)

@@ -6,7 +6,8 @@ import pytest
 from u1bethe import chain as C
 from u1bethe import verify as V
 from u1bethe import weights as W
-from u1bethe.errors import DimensionTooLarge, EmptySector, ParameterDomain
+from u1bethe.errors import (DimensionTooLarge, EmptySector, IndexOutOfRange,
+                            ParameterDomain)
 
 from conftest import ETA, points, rng_for
 
@@ -356,6 +357,27 @@ def test_matrix_free_above_dense_limit(six):
     assert np.all(op.apply(ref) == 0)       # triangularity, matrix-free path
     with pytest.raises(DimensionTooLarge):
         op.to_matrix()
+
+
+def test_transfer_block_refuses_a_sector_over_the_dense_limit(six,
+                                                             monkeypatch):
+    # L=10: sector 5 has 252 states, sector 4 has 210; the block over the
+    # limit is refused before a plan or any work array is built
+    ctx = C.ChainContext(six, 10)
+    monkeypatch.setattr(C, "DENSE_LIMIT", 251)
+    with pytest.raises(DimensionTooLarge):
+        C.transfer_block(ctx, 0.3, 5)
+    assert ctx._plans == {}
+    assert C.transfer_block(ctx, 0.3, 4).shape == (210, 210)
+
+
+def test_bad_auxiliary_indices_raise_index_out_of_range(ctx3):
+    for a, b in ((0, 1), (1, 4), (4, 4)):
+        with pytest.raises(IndexOutOfRange):
+            C.monodromy_element(ctx3, 0.3, a, b)
+    for a in (0, 4):
+        with pytest.raises(IndexOutOfRange):
+            C.vacuum_weight(ctx3, 0.3, a)
 
 
 def test_chain_dimension_is_capped(six, spin1):
