@@ -48,7 +48,6 @@ MAX_CHAIN_DIM = 2 ** 20
 class ChainContext:
     """Model + chain length + inhomogeneities; immutable once built."""
 
-    _VACUUM_CAP = 4096  # memoized spectral points before the memo is cleared
     _PLAN_BYTES = 16 * 2 ** 20  # byte budget of the contraction plans
 
     def __init__(self, model, L, inhomogeneities=None):
@@ -69,13 +68,15 @@ class ChainContext:
             raise ValueError(
                 f"need {L} inhomogeneities, got {len(inhomogeneities)}")
         self.inhomogeneities = inhomogeneities
-        self._mus = np.array(inhomogeneities, dtype=complex)
-        # storage slots of R_{b,1}^{b,1}, b = 1..N
-        self._vacuum_slots = ice_row_slots(model.N)[
-            np.arange(model.N) * model.N, np.arange(model.N)]
         self.N = model.N
         self.dim = model.N ** L
-        self._vacuum = {}  # lam -> [w_1(lam), ..., w_N(lam)]
+        # storage slots of R_{b,1}^{b,1}, b = 1..N
+        slots = ice_row_slots(model.N)[np.arange(model.N) * model.N,
+                                       np.arange(model.N)]
+        # lam -> (w_1(lam), ..., w_N(lam)); bound to the context's parts,
+        # not to self, so the memo makes no reference cycle
+        self._vacuum = functools.lru_cache(maxsize=4096)(functools.partial(
+            _vacuum_weights, model, np.array(inhomogeneities), slots))
         self._plans = {}   # total charges -> _SectorPlan, built on first apply
         self._plan_bytes = 0
 
@@ -340,21 +341,19 @@ def vacuum_weight(ctx, lam, a):
     """
     if not 1 <= a <= ctx.N:
         raise IndexOutOfRange(f"index {a} outside 1..{ctx.N}")
-    key = complex(lam)
-    got = ctx._vacuum.get(key)
-    if got is None:
-        model, lam = ctx.model, _finite(key)
-        if model.array_fn is not None:
-            sites = model.array_fn(lam - ctx._mus)
-        else:
-            sites = np.array([eval_r(model, lam, mu).values
-                              for mu in ctx.inhomogeneities])
-        got = [np.complex128(math.prod(entries, start=1.0 + 0.0j))
-               for entries in sites[:, ctx._vacuum_slots].T.tolist()]
-        if len(ctx._vacuum) >= ctx._VACUUM_CAP:
-            ctx._vacuum.clear()  # pure values: recompute if evicted
-        ctx._vacuum[key] = got
-    return got[a - 1]
+    return ctx._vacuum(complex(lam))[a - 1]
+
+
+def _vacuum_weights(model, mus, slots, lam):
+    """(w_1(lam), ..., w_N(lam)) over the sites at `mus`; `ChainContext`
+    memoizes it bound to its model, inhomogeneities and storage slots."""
+    lam = _finite(lam)
+    if model.array_fn is not None:
+        sites = model.array_fn(lam - mus)
+    else:
+        sites = np.array([eval_r(model, lam, mu).values for mu in mus])
+    return tuple(np.complex128(math.prod(entries, start=1.0 + 0.0j))
+                 for entries in sites[:, slots].T.tolist())
 
 
 def spin_z_total(N, L):

@@ -117,14 +117,6 @@ class RuleCoefficients:
     terms: list = field(default_factory=list)
     direct: bool = False    # no linear system was needed (or it was 1x1)
 
-    def zeroed(self, k):
-        """Copy with the k-th coefficient zeroed (detector sanity hook)."""
-        out = RuleCoefficients(self.family, dict(self.indices), self.lam,
-                               self.mu, self.lhs, list(self.terms), self.direct)
-        t = out.terms[k]
-        out.terms[k] = RuleTerm(t.left, t.right, 0.0)
-        return out
-
 
 # ----------------------------------------------------------------------
 # the fundamental relation and its linear solves

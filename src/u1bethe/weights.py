@@ -4,9 +4,10 @@ A weight matrix R(lambda, mu) stores only its ice entries: the ice rule
 a + b = c + d forces every other entry to vanish structurally.  They lie
 in the charge blocks q = a + b - 1 (q = 1..2N-1), with a, c running over
 max(1, q+1-N)..min(q, N), and are kept in one flat array, block by block.
-Evaluations are cached per model within a fixed byte budget.  The two
-families of difference form also evaluate a whole array of u = lambda - mu
-in one call (`ModelSpec.array_fn`), bit for bit the scalar evaluations.
+Evaluations are memoized per model in a bounded LRU (`ModelSpec`).  The
+two families of difference form also evaluate a whole array of
+u = lambda - mu in one call (`ModelSpec.array_fn`), bit for bit the scalar
+evaluations.
 
 Built-in families:
 
@@ -142,13 +143,12 @@ class WeightMatrix:
     off the ice rule are structurally zero and cannot be stored.
     """
 
-    __slots__ = ("N", "_lay", "_vals", "_dense")
+    __slots__ = ("N", "_lay", "_vals")
 
     def __init__(self, N, values):
         self.N = int(N)
         self._lay = _layout(self.N)
         self._vals = values
-        self._dense = None
 
     @classmethod
     def zeros(cls, N):
@@ -199,7 +199,6 @@ class WeightMatrix:
         if k is None:
             raise ParameterDomain(f"({a},{b})->({c},{d}) violates the ice rule")
         self._vals[k] = complex(value)
-        self._dense = None
 
     def items(self):
         """Yield every ice entry (a, b, c, d, value) in storage order."""
@@ -212,27 +211,25 @@ class WeightMatrix:
         return self._vals
 
     def dense(self):
-        """N^2 x N^2 array with rows (a,b) and columns (c,d), row-major."""
-        if self._dense is None:
-            N = self.N
-            out = np.zeros((N * N, N * N), dtype=complex)
-            out[self._lay.rows, self._lay.cols] = self._vals
-            self._dense = out
-        return self._dense
+        """A fresh N^2 x N^2 array with rows (a,b) and columns (c,d),
+        row-major."""
+        N = self.N
+        out = np.zeros((N * N, N * N), dtype=complex)
+        out[self._lay.rows, self._lay.cols] = self._vals
+        return out
 
 
-def cache_entry_bytes(N):
-    """Bytes one cached evaluation can hold: its flat entries and dense()
-    arrays, plus 512 B for the object and array headers, the (lam, mu) key
-    and the dict slot (tracemalloc measures 436-450 B at N = 2..5)."""
-    return 16 * (ice_entry_count(N) + N ** 4) + 512
+def _evaluate(eval_fn, lam, mu):
+    return eval_fn(_finite(lam), _finite(mu))
 
 
 class ModelSpec:
     """A weight model: N, parameters and an evaluation rule for R(l, m).
 
-    Instances are immutable after construction; evaluations are cached by
-    the exact (lambda, mu) pair, so repeated calls are bit-identical.
+    Instances are immutable after construction.  Evaluations are memoized
+    by the exact (lambda, mu) pair in an LRU of min(4096, 2^21 / K) entries
+    for K = `ice_entry_count(N)`, at most 32 MiB of entry values for any N;
+    an evicted point is evaluated again to the same bits.
     """
 
     # default inhomogeneity of every chain site
@@ -258,28 +255,17 @@ class ModelSpec:
         # array of u = lam - mu to the (len(us), K) flat ice entries, row s
         # bit for bit eval_r's values at us[s]; None for the other models
         self.array_fn = array_fn
-        self._eval_fn = eval_fn
-        self._cache = {}
-        self._cache_cap = max(1, self.CACHE_BYTES // cache_entry_bytes(self.N))
+        # bound to eval_fn, not to self: the memo makes no reference cycle
+        self._memo = functools.lru_cache(
+            maxsize=min(4096, 2 ** 21 // ice_entry_count(self.N)))(
+                functools.partial(_evaluate, eval_fn))
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"ModelSpec({self.name}, N={self.N}, {ps})"
 
-    # byte budget of the evaluation cache, charged by cache_entry_bytes
-    CACHE_BYTES = 32 * 2 ** 20
-
     def eval_r(self, lam, mu):
-        lam = _finite(lam)
-        mu = _finite(mu)
-        key = (lam, mu)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._eval_fn(lam, mu)
-            if len(self._cache) >= self._cache_cap:
-                self._cache.clear()  # pure evaluations: recompute if evicted
-            self._cache[key] = got
-        return got
+        return self._memo(complex(lam), complex(mu))
 
 
 def eval_r(model, lam, mu):

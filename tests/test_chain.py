@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +27,17 @@ def ctx3(spin1):
 def test_lax_is_dense_weights(six):
     lam, mu = 0.31 + 0.12j, -0.2
     assert np.array_equal(C.lax(six, lam, mu), six.eval_r(lam, mu).dense())
+
+
+def test_dense_forms_are_not_shared():
+    # a caller writing into its dense Lax operator leaves the weights that
+    # every later evaluation reads untouched
+    six = W.six_vertex(ETA)
+    lam = 0.3 + 0.1j
+    clean = W.check_unitarity(six, lam, 0)
+    C.lax(six, lam, 0)[1, 1] = 99
+    assert W.check_unitarity(six, lam, 0) == clean
+    assert C.lax(six, lam, 0)[1, 1] == six.eval_r(lam, 0).entry(1, 2, 1, 2)
 
 
 def test_lax_u1_invariance(spin1):
@@ -160,20 +173,44 @@ def test_vacuum_weight_matches_diagonal_elements(ctx6, ctx3):
             assert np.array_equal(direct, C.vacuum_weight(ctx, lam, a) * ref)
 
 
-def test_vacuum_weight_is_bitwise_site_product(ctx6, ctx3, monkeypatch):
+def test_vacuum_weight_is_bitwise_site_product(ctx6, ctx3):
     # the memo must return exactly the site-ordered product, also for
     # values recomputed after it was cleared
-    monkeypatch.setattr(C.ChainContext, "_VACUUM_CAP", 2)
     lams = [0.31 - 0.17j, -0.44 + 0.05j, 0.12 + 0.61j, 0.31 - 0.17j, 0.9]
     for ctx in (ctx6, ctx3):
-        for lam in lams:
-            for a in range(ctx.N, 0, -1):
-                want = 1.0 + 0.0j
-                for mu in ctx.inhomogeneities:
-                    want *= ctx.model.eval_r(lam, mu).entry(a, 1, a, 1)
-                got = C.vacuum_weight(ctx, lam, a)
-                assert (got.real, got.imag) == (want.real, want.imag)
-            assert len(ctx._vacuum) <= 2
+        for _ in range(2):
+            ctx._vacuum.cache_clear()
+            for lam in lams:
+                for a in range(ctx.N, 0, -1):
+                    want = 1.0 + 0.0j
+                    for mu in ctx.inhomogeneities:
+                        want *= ctx.model.eval_r(lam, mu).entry(a, 1, a, 1)
+                    got = C.vacuum_weight(ctx, lam, a)
+                    assert (got.real, got.imag) == (want.real, want.imag)
+            assert ctx._vacuum.cache_info().misses == len(set(lams))
+
+
+def _memoized_model_and_context(model):
+    ctx = C.ChainContext(model, 3, [0.03 - 0.08j, -0.11 + 0.06j, 0.21])
+    vec = C.reference_state(model.N, 3).amplitudes
+    C.transfer_matrix(ctx, 0.4 + 0.1j).apply(vec)
+    C.vacuum_weight(ctx, -0.2 + 0.3j, 1)
+    assert model._memo.cache_info().currsize > 0
+    assert ctx._vacuum.cache_info().currsize == 1
+    return weakref.ref(model), weakref.ref(ctx)
+
+
+def test_memos_hold_no_reference_to_their_owner():
+    # with the cycle collector off, dropping the last reference frees a
+    # model and a context along with everything they memoized
+    gc.disable()
+    try:
+        for make in (lambda: W.six_vertex(ETA),
+                     lambda: W.custom_model(2, W.six_vertex(ETA).eval_r)):
+            model_ref, ctx_ref = _memoized_model_and_context(make())
+            assert model_ref() is None and ctx_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_vacuum_weight_evaluates_all_sites_in_one_call(six, monkeypatch):

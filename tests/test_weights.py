@@ -424,38 +424,32 @@ def test_degenerate_anisotropy_rejected(family, eta):
         family(eta)
 
 
-def test_cache_stays_within_byte_budget():
-    N = 4
-    model = W.custom_model(N, lambda lam, mu: {(1, 1, 1, 1): lam - mu})
-    cap = W.ModelSpec.CACHE_BYTES // W.cache_entry_bytes(N)
-    assert cap < 65536
-    for k in range(cap + 25):
-        model.eval_r(k * 1e-3, 0.0).dense()
-        if k == cap - 1:  # full: the most the cache ever holds
-            assert len(model._cache) == cap
-            held = sum(w._vals.nbytes + w._dense.nbytes
-                       for w in model._cache.values())
-            assert held <= W.ModelSpec.CACHE_BYTES
-    assert len(model._cache) == 25  # cleared once on reaching the cap
+def test_weight_memo_is_bounded_and_exact_after_eviction():
+    # an LRU of at most 4096 evaluations and 32 MiB of entry values
+    for N in range(2, 31):
+        model = W.custom_model(N, lambda lam, mu: {(1, 1, 1, 1): lam - mu})
+        size = model._memo.cache_parameters()["maxsize"]
+        assert 0 < size <= 4096
+        assert size * 16 * W.ice_entry_count(N) <= 32 * 2 ** 20
+    calls = []
 
+    def weights(lam, mu):
+        calls.append(lam)
+        return {(1, 1, 1, 1): np.exp(lam) * np.sin(mu)}
 
-def test_full_cache_memory_stays_within_byte_budget():
-    # measured, not charged: headers, keys and dict slots count as well
-    model = W.six_vertex(ETA)
-    cap = model._cache_cap
-    assert cap > 17888  # above the misses of one N = 2 benchmark unit
-    model.eval_r(0.5, 0.25).dense()
-    model._cache.clear()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        for k in range(cap):
-            model.eval_r(complex(k * 1e-4, 0.3), 0.1).dense()
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert len(model._cache) == cap
-    assert held <= W.ModelSpec.CACHE_BYTES
+    model = W.custom_model(30, weights)  # the loop's last N: `size` points
+    first = model.eval_r(0.1 + 0.2j, 0.3).entry(1, 1, 1, 1)
+    for k in range(size - 1):
+        model.eval_r(complex(k, 1.0), 0.3)
+    model.eval_r(0.1 + 0.2j, 0.3)  # a hit makes it the newest point
+    model.eval_r(-1.0, 0.3)        # evicts the oldest, complex(0, 1)
+    assert len(calls) == size + 1
+    model.eval_r(0.1 + 0.2j, 0.3)
+    for k in range(size):
+        model.eval_r(complex(k, 2.0), 0.3)
+    again = model.eval_r(0.1 + 0.2j, 0.3).entry(1, 1, 1, 1)
+    assert len(calls) == 2 * size + 2  # evicted and evaluated again
+    assert (again.real, again.imag) == (first.real, first.imag)
 
 
 DATA = Path(__file__).parent / "data"
