@@ -424,6 +424,51 @@ def test_degenerate_anisotropy_rejected(family, eta):
         family(eta)
 
 
+def test_cache_stays_within_byte_budget():
+    N = 4
+    model = W.custom_model(N, lambda lam, mu: {(1, 1, 1, 1): lam - mu})
+    cap = model._memo.cache_parameters()["maxsize"]
+    assert cap == min(4096, 2 ** 21 // W.ice_entry_count(N))
+    for k in range(cap + 25):
+        model.eval_r(k * 1e-3, 0.0).dense()
+        if k == cap - 1:  # full: the most the memo ever holds
+            assert model._memo.cache_info().currsize == cap
+            assert cap * 16 * W.ice_entry_count(N) <= 32 * 2 ** 20
+    # an LRU evicts one point per miss once full; it is never cleared
+    assert model._memo.cache_info().currsize == cap
+    assert model._memo.cache_info().misses == cap + 25
+
+
+def _full_memo_bytes(model):
+    """Traced bytes held by `model`'s memo once it is full."""
+    cap = model._memo.cache_parameters()["maxsize"]
+    model.eval_r(0.5, 0.25).dense()
+    model._memo.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k in range(cap):
+            model.eval_r(complex(k * 1e-4, 0.3), 0.1).dense()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert model._memo.cache_info().currsize == cap
+    return cap, held
+
+
+def test_full_cache_memory_stays_within_byte_budget():
+    # measured, not charged: 32 MiB of entry values, plus at most 512 B per
+    # entry for the object and array headers, the key and the LRU link
+    cap, held = _full_memo_bytes(W.six_vertex(ETA))
+    assert cap > 1461  # above the largest reuse distance of a benchmark unit
+    assert held <= 32 * 2 ** 20 + 512 * cap
+    # at N = 16, 2^21 // K binds below 4096 entries: values fill the budget
+    cap, held = _full_memo_bytes(
+        W.custom_model(16, lambda lam, mu: {(1, 1, 1, 1): lam - mu}))
+    assert cap < 4096
+    assert held <= 32 * 2 ** 20 + 512 * cap
+
+
 def test_weight_memo_is_bounded_and_exact_after_eviction():
     # an LRU of at most 4096 evaluations and 32 MiB of entry values
     for N in range(2, 31):
