@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import IndexOutOfRange, Singularity
-from .weights import eval_r, relative_residual, worst_residual
+from .weights import eval_r, ice_slot, relative_residual, worst_residual
 
 __all__ = [
     "MIN_ROOT_SEPARATION", "theta", "theta_less", "det_guarded",
@@ -63,8 +63,12 @@ def det_guarded(mat):
     return det
 
 
+# a denominator below _DIV_RTOL * max(1, |numerator|) raises Singularity
+_DIV_RTOL = 1e-14
+
+
 def _div(num, den):
-    if den == 0 or abs(den) < 1e-14 * max(1.0, abs(num)):
+    if den == 0 or abs(den) < _DIV_RTOL * max(1.0, abs(num)):
         raise Singularity(f"denominator {complex(den)} vanishes")
     return num / den
 
@@ -125,6 +129,73 @@ def exchange_product(model, roots, first, second):
             pref *= ratio_11_21(model, roots[i - 1], roots[j - 1])
             pref *= theta_less(model, roots[i - 1], roots[j - 1], i, j)
     return pref
+
+
+# ----------------------------------------------------------------------
+# array forms over evaluated weights: each element bit for bit the scalar
+# amplitude, with a mask where the scalar one raises Singularity
+# ----------------------------------------------------------------------
+
+def mul(a, b):
+    """a * b elementwise, rounded as a scalar complex multiply rounds it;
+    numpy's array multiply rounds differently."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)),
+                   dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _div_rows(num, den):
+    """`_div` elementwise: (num / den, where `_div` raises).  np.hypot is
+    the scalar abs, which np.abs of an array is not to the last bit."""
+    big = np.hypot(num.real, num.imag)
+    singular = (den == 0) | (np.hypot(den.real, den.imag)
+                             < _DIV_RTOL * np.where(big > 1.0, big, 1.0))
+    return num / den, singular
+
+
+def _det2_rows(m):
+    """`det_guarded` of each 2 x 2 matrix of the (..., 2, 2) array `m`:
+    (determinants, where it raises), in its operations and order.  Its
+    np.abs of an array stays np.abs; its scalar abs is np.hypot."""
+    mag = np.abs(m)
+    scale = np.max(mag, axis=(-2, -1))
+    thresh = PIVOT_RTOL * scale
+    swap = np.argmax(mag[..., 0], axis=-1) == 1
+    m = np.where(swap[..., None, None], m[..., ::-1, :], m)
+    pivot = m[..., 0, 0]
+    rest = m[..., 1, 1] - (m[..., 1, 0] / pivot) * m[..., 0, 1]
+    singular = ((scale == 0) | (np.hypot(pivot.real, pivot.imag) < thresh)
+                | (np.hypot(rest.real, rest.imag) < thresh))
+    det = mul(mul(np.where(swap, -(1.0 + 0.0j), 1.0 + 0.0j), pivot), rest)
+    return det, singular
+
+
+def theta_rows(model, w):
+    """`theta` at the (..., K) flat entries `w` of R(lam, mu) evaluations:
+    (values, where it raises)."""
+    N = model.N
+
+    def entry(*key):
+        return w[..., ice_slot(N, *key)]
+
+    if N == 2:
+        return _div_rows(entry(2, 2, 2, 2), entry(1, 1, 1, 1))
+    m = np.empty(w.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1] = entry(2, 2, 2, 2), entry(3, 1, 2, 2)
+    m[..., 1, 0], m[..., 1, 1] = entry(2, 2, 3, 1), entry(3, 1, 3, 1)
+    num, bad = _det2_rows(m)
+    val, bad_den = _div_rows(num, mul(entry(1, 1, 1, 1), entry(3, 1, 3, 1)))
+    return val, bad | bad_den
+
+
+def scattering_rows(model, wxy, wyx):
+    """`scattering` from the flat entries of R(x, y) and R(y, x):
+    (values, where it raises)."""
+    one, two = ice_slot(model.N, 1, 1, 1, 1), ice_slot(model.N, 2, 1, 2, 1)
+    return _div_rows(mul(wxy[..., one], wyx[..., two]),
+                     mul(wyx[..., one], wxy[..., two]))
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,19 @@ scalar coefficient built from the two-root exchange data.  The same
 bookkeeping produces, term by term, the predicted decomposition of
 T_{a,a}(lambda) acting on the state, which is what the dense oracles in
 `verify` check.
+
+The Bethe equations are solved by a damped Newton iteration that moves
+every seed in lockstep: each iterate evaluates the residuals of all
+seeds and their forward-difference points in one array pass
+(`bae_residuals`) and solves all Newton systems in one stacked call.
+The array residuals are bit for bit the scalar `bae_residual`, the
+oracle they are tested against, so each seed ends where a Newton loop
+of its own would end, with the same outcome.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,12 +29,14 @@ from .chain import (StateVector, monodromy_element, reference_state,
 from .errors import (IndexOutOfRange, InvalidOption, NoConvergence,
                      ParameterDomain, Singularity, SingularJacobian,
                      UnknownGridPoint)
+from .weights import ice_slot
 
 _EVAL_ERRORS = (Singularity, ParameterDomain, UnknownGridPoint)
 
 __all__ = [
     "RootSet", "BetheState", "OffshellTerm", "build_bethe_vector",
-    "bae_residual", "bae_residual_vector", "solve_bae", "eigenvalue",
+    "bae_residual", "bae_residuals", "solve_bae", "solve_sector",
+    "SectorSolve", "SEED_OUTCOMES", "eigenvalue",
     "eigenvector_residual", "offshell_expansion", "expansion_for_diagonal",
     "state_signature", "same_state", "EIGENVECTOR_TOL",
 ]
@@ -135,49 +146,149 @@ def bae_residual(ctx, roots, j):
     return val - 1.0
 
 
-def bae_residual_vector(ctx, roots):
-    return np.array([bae_residual(ctx, roots, j)
-                     for j in range(1, len(roots) + 1)])
+def bae_residuals(ctx, roots):
+    """`bae_residual` at every equation of each root set in the rows of the
+    (P, n) array `roots`, from one array evaluation of the weights.
 
-
-def _newton(ctx, x0, tol, max_iter):
-    """Damped complex Newton on the Bethe residual vector."""
-    n = len(x0)
-    x = np.array(x0, dtype=complex)
-    best = np.inf
-    for _ in range(max_iter):
+    Returns (residuals, singular): row s of the (P, n) residuals is bit for
+    bit [bae_residual(ctx, roots[s], j) for j = 1..n], and singular[s]
+    marks the rows where `bae_residual` raises Singularity, ParameterDomain
+    or UnknownGridPoint, whose residuals are nan.
+    """
+    x = np.array(roots, dtype=complex)
+    residuals = np.full(x.shape, complex("nan"))
+    singular = ~np.isfinite(x).all(axis=1)
+    rows = np.flatnonzero(~singular)
+    with np.errstate(all="ignore"):  # singular rows compute garbage
         try:
-            r = bae_residual_vector(ctx, tuple(x))
+            parts = [(rows, *_residual_rows(ctx, x[rows]))]
         except _EVAL_ERRORS:
-            raise NoConvergence("residual singular along the path",
-                                best) from None
-        rn = float(np.max(np.abs(r)))
-        best = min(best, rn)
-        if rn < tol:
-            return tuple(x)
-        jac = np.zeros((n, n), dtype=complex)
-        for k in range(n):
-            h = 1e-7 * (1.0 + abs(x[k]))
-            xp = x.copy()
-            xp[k] += h
+            # a weight is refused somewhere: each row alone tells where
+            parts = []
+            for s in rows:
+                try:
+                    parts.append(([s], *_residual_rows(ctx, x[[s]])))
+                except _EVAL_ERRORS:
+                    singular[s] = True
+    for idx, res, bad in parts:
+        residuals[idx] = np.where(bad[:, None], residuals[idx], res)
+        singular[idx] |= bad
+    return residuals, singular
+
+
+def _residual_rows(ctx, x):
+    """(residuals, singular) of `bae_residuals` at the finite (P, n) rows
+    `x`, but a weight that `eval_r` refuses raises its error.
+
+    One `array_fn` call evaluates R at each root against every site and
+    at each ordered pair of roots.  Products and quotients round as the
+    scalar ones do (`amplitudes.mul`), and site products run in site
+    order.
+    """
+    model, N, L = ctx.model, ctx.N, ctx.L
+    count, n = x.shape
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    first = [i for i, _ in pairs]
+    second = [j for _, j in pairs]
+    sites = count * n * L
+    w = model.array_fn(
+        np.concatenate([np.repeat(x.ravel(), L), x[:, first].ravel()]),
+        np.concatenate([np.tile(np.array(ctx.inhomogeneities), count * n),
+                        x[:, second].ravel()]))
+    # w_1 and w_2 of each root as `chain.vacuum_weight`'s math.prod forms
+    # them, in real and imaginary parts (`amplitudes.mul`), site by site
+    vac = w[:sites].reshape(count, n, L, -1)[
+        ..., [ice_slot(N, 1, 1, 1, 1), ice_slot(N, 2, 1, 2, 1)]]
+    vac = np.moveaxis(vac, 2, 0).copy()
+    re, im = 1.0, 0.0
+    for site in vac:
+        re, im = (re * site.real - im * site.imag,
+                  re * site.imag + im * site.real)
+    weights = re.astype(complex)
+    weights.imag = im
+    w2 = weights[..., 1]
+    singular = (w2 == 0).any(axis=1)
+    val = weights[..., 0] / w2
+    if pairs:
+        pw = w[sites:].reshape(count, len(pairs), -1)
+        rev = [pairs.index((j, i)) for i, j in pairs]
+        # pair (i, j): scattering(l_i, l_j) / theta(l_j, l_i)
+        scat, bad_s = amp.scattering_rows(model, pw, pw[:, rev])
+        th, bad_t = amp.theta_rows(model, pw)
+        factor = scat / th[:, rev]
+        singular |= (bad_s | bad_t).any(axis=1)
+        for t in range(n - 1):  # the t-th i != j, ascending, at each j
+            val = amp.mul(val, factor[:, [pairs.index((t + (t >= j), j))
+                                          for j in range(n)]])
+    return val - 1.0, singular
+
+
+def _newton_steps(jac, rhs):
+    """np.linalg.solve of each system of the stack; nan where singular."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full(rhs.shape, complex("nan"))
+        for s in range(len(rhs)):
             try:
-                rp = bae_residual_vector(ctx, tuple(xp))
-            except _EVAL_ERRORS:
-                raise NoConvergence("Jacobian sample singular", best) from None
-            jac[:, k] = (rp - r) / h
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            raise SingularJacobian("Newton Jacobian is singular") from None
-        smax = float(np.max(np.abs(step)))
-        if not np.isfinite(smax):
-            raise SingularJacobian("Newton step is not finite")
-        if smax > 1.0:
-            step *= 1.0 / smax
-        x = x + step
-        if np.max(np.abs(x)) > 8.0:
-            raise NoConvergence("iterate left the search region", best)
-    raise NoConvergence(f"no convergence in {max_iter} iterations", best)
+                steps[s] = np.linalg.solve(jac[s], rhs[s])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _lockstep_newton(ctx, seeds, tol, max_iter):
+    """Damped complex Newton on the Bethe residuals from every seed at once.
+
+    Each iterate evaluates the residuals at every active seed and at its n
+    forward-difference points in one `bae_residuals` call, then solves all
+    the Newton systems in one stacked call.  A seed retires with an
+    outcome of `SEED_OUTCOMES` ("converged" or one of the failures) and
+    the best residual it reached.  Returns (outcomes, iterates, best): a
+    converged seed's roots are its row of the iterates.  Every seed takes
+    the path that a Newton loop of its own takes, to the bit.
+    """
+    x = np.array(seeds, dtype=complex)
+    count, n = x.shape
+    outcomes = ["max_iter"] * count
+    best = np.full(count, np.inf)
+    active = np.arange(count)
+    for _ in range(max_iter):
+        if not len(active):
+            break
+        xa = x[active]
+        h = 1e-7 * (1.0 + np.hypot(xa.real, xa.imag))
+        pts = np.repeat(xa[:, None], n + 1, axis=1)
+        for k in range(n):
+            pts[:, k + 1, k] += h[:, k]
+        res, singular = bae_residuals(ctx, pts.reshape(-1, n))
+        res = res.reshape(len(active), n + 1, n)
+        singular = singular.reshape(len(active), n + 1)
+        r = res[:, 0]
+        rn = np.max(np.abs(r), axis=1)
+        ok = ~singular[:, 0]
+        seen = best[active[ok]]
+        best[active[ok]] = np.where(rn[ok] < seen, rn[ok], seen)  # min()
+        converged = ok & (rn < tol)
+        go = ok & ~converged & ~singular[:, 1:].any(axis=1)
+        for s in np.flatnonzero(~go):
+            outcomes[active[s]] = ("converged" if converged[s]
+                                   else "singular_residual")
+        jac = ((res[go, 1:] - r[go, None]) / h[go, :, None]).transpose(0, 2, 1)
+        step = _newton_steps(jac, -r[go])
+        smax = np.max(np.abs(step), axis=1)
+        big = smax > 1.0
+        step[big] *= (1.0 / smax[big])[:, None]
+        xn = xa[go] + step
+        finite = np.isfinite(smax)
+        inside = finite & ~(np.max(np.abs(xn), axis=1) > 8.0)
+        moved = active[go]
+        for s in np.flatnonzero(~inside):
+            outcomes[moved[s]] = ("left_region" if finite[s]
+                                  else "singular_jacobian")
+        x[moved[inside]] = xn[inside]
+        active = moved[inside]
+    return outcomes, x, best
 
 
 # roots this close (in periods) below the strip's upper edge are on it to
@@ -261,58 +372,99 @@ def _default_seeds(ctx, n, count, seed):
     return seeds
 
 
-def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
-    """Newton-solve the Bethe equations in the n-particle sector.
+# what becomes of a seed: its converged roots are a new state, a state
+# already found or an unphysical set; or its Newton iteration stops
+SEED_OUTCOMES = ("converged", "duplicate", "unphysical", "max_iter",
+                 "left_region", "singular_residual", "singular_jacobian")
 
-    Returns one converged root set per state (`same_state` of their
-    signatures), each canonically sorted, the list ordered
-    lexicographically.  Sets that fail to build an eigenvector
-    (vanishing-vector runaways standing in for roots at infinity) are
-    dropped.  Folding roots into the strip of the model's rapidity period
-    only makes them print canonically.  Completeness is not attempted.
+# stopped iterations that record the best residual they reached
+_RESIDUAL_FAILURES = ("max_iter", "left_region", "singular_residual")
+
+
+class SectorSolve(NamedTuple):
+    """`solve_sector`'s result: the states, the number of seeds with each
+    of `SEED_OUTCOMES`, and the best residual of the failed iterations."""
+    states: list
+    outcomes: dict
+    best_residual: float
+
+
+def solve_sector(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50,
+                 seed=42):
+    """`solve_bae`'s states and the outcome of every seed; finding no
+    state is not an error here.
+
+    The Newton iteration runs all seeds in lockstep (`_lockstep_newton`);
+    then each converged seed, in seed order, is kept as a new state,
+    dropped as a duplicate (`same_state` of their signatures), or dropped
+    as unphysical: coincident roots, or a set that fails to build an
+    eigenvector (vanishing-vector runaways standing in for roots at
+    infinity).  `seeds` must hold root sets of n roots each.
     """
+    if n_seeds < 1 or max_iter < 1:
+        raise InvalidOption("n_seeds and max_iter must be >= 1")
+    if seeds is not None:
+        seeds = [tuple(s) for s in seeds]
+        if not seeds or any(len(s) != n for s in seeds):
+            raise InvalidOption(f"seeds must be a nonempty list of "
+                                f"{n}-root sets")
+    counts = dict.fromkeys(SEED_OUTCOMES, 0)
     if n == 0:
-        return [RootSet(())]
+        return SectorSolve([RootSet(())], counts, np.inf)
     if ctx.model.table_data is not None:
         raise InvalidOption(
             "table models store fixed grid points; the solver needs "
             "arbitrary-argument weight evaluation")
     require_nonempty_sector(ctx.N, ctx.L, n)
-    explicit = seeds is not None
     if seeds is None:
         seeds = _default_seeds(ctx, n, n_seeds, seed)
+    outcomes, iterates, best = _lockstep_newton(ctx, seeds, tol, max_iter)
     found = []
     signatures = []  # of the sets in `found`
-    best = np.inf
-    jac_failures = 0
-    for s in seeds:
-        try:
-            x = _newton(ctx, s, tol, max_iter)
-        except NoConvergence as err:
-            if err.best_residual is not None:
-                best = min(best, err.best_residual)
-            continue
-        except SingularJacobian:
-            jac_failures += 1
-            continue
-        try:
-            rs = RootSet(_fold_period(x, ctx.model.rapidity_period)).sorted()
-        except Singularity:
-            continue  # coincident roots: not an admissible Bethe state
-        sig = state_signature(ctx, rs)
-        if any(same_state(sig, other) for other in signatures):
-            continue
-        if not _is_physical(ctx, rs):
-            continue
-        found.append(rs)
-        signatures.append(sig)
-    if not found:
-        if explicit and jac_failures == len(seeds):
+    for outcome, x in zip(outcomes, iterates):
+        if outcome == "converged":
+            outcome = _admit(ctx, tuple(x), found, signatures)
+        counts[outcome] += 1
+    found.sort(key=lambda rs: tuple((z.real, z.imag) for z in rs.roots))
+    failed = [b for b, o in zip(best, outcomes) if o in _RESIDUAL_FAILURES]
+    return SectorSolve(found, counts, float(min(failed, default=np.inf)))
+
+
+def _admit(ctx, x, found, signatures):
+    """The outcome of converged roots `x`; a new state joins `found`."""
+    try:
+        rs = RootSet(_fold_period(x, ctx.model.rapidity_period)).sorted()
+    except Singularity:
+        return "unphysical"  # coincident roots: not an admissible state
+    sig = state_signature(ctx, rs)
+    if any(same_state(sig, other) for other in signatures):
+        return "duplicate"
+    if not _is_physical(ctx, rs):
+        return "unphysical"
+    found.append(rs)
+    signatures.append(sig)
+    return "converged"
+
+
+def solve_bae(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50, seed=42):
+    """Newton-solve the Bethe equations in the n-particle sector.
+
+    Returns one converged root set per state (`same_state` of their
+    signatures), each canonically sorted, the list ordered
+    lexicographically; `solve_sector` says which sets are dropped.
+    Folding roots into the strip of the model's rapidity period only
+    makes them print canonically.  Completeness is not attempted.  With
+    no state found it raises NoConvergence, or SingularJacobian when every
+    given seed hit a singular Jacobian.
+    """
+    got = solve_sector(ctx, n, seeds, tol, max_iter, n_seeds, seed)
+    if not got.states:
+        if (seeds is not None
+                and got.outcomes["singular_jacobian"] == len(seeds)):
             raise SingularJacobian("every provided seed hit a singular Jacobian")
         raise NoConvergence(
-            f"no Bethe roots found in sector n={n}", best)
-    found.sort(key=lambda rs: tuple((z.real, z.imag) for z in rs.roots))
-    return found
+            f"no Bethe roots found in sector n={n}", got.best_residual)
+    return got.states
 
 
 def _wanted_coefficient(ctx, lam, roots, a):

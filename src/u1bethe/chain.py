@@ -334,10 +334,9 @@ def vacuum_weight(ctx, lam, a):
     """w_a(lam): the diagonal monodromy eigenvalue on the reference state,
     the product over sites k of R_{a,1}^{a,1}(lam, mu_k).
 
-    A model of difference form evaluates every site in one array call
-    over u = lam - mu_k (`ModelSpec.array_fn`); the others take L
-    `eval_r` calls.  Each product runs in site order over scalars, as an
-    array multiply would round differently.
+    Every site is evaluated in one `ModelSpec.array_fn` call.  Each
+    product runs in site order over scalars, as an array multiply would
+    round differently.
     """
     if not 1 <= a <= ctx.N:
         raise IndexOutOfRange(f"index {a} outside 1..{ctx.N}")
@@ -347,11 +346,7 @@ def vacuum_weight(ctx, lam, a):
 def _vacuum_weights(model, mus, slots, lam):
     """(w_1(lam), ..., w_N(lam)) over the sites at `mus`; `ChainContext`
     memoizes it bound to its model, inhomogeneities and storage slots."""
-    lam = _finite(lam)
-    if model.array_fn is not None:
-        sites = model.array_fn(lam - mus)
-    else:
-        sites = np.array([eval_r(model, lam, mu).values for mu in mus])
+    sites = model.array_fn(_finite(lam), mus)
     return tuple(np.complex128(math.prod(entries, start=1.0 + 0.0j))
                  for entries in sites[:, slots].T.tolist())
 

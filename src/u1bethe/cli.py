@@ -19,8 +19,7 @@ from . import amplitudes as amp
 from . import bethe as bt
 from . import verify
 from .chain import ChainContext, monodromy_element
-from .errors import (ConfigError, InvalidOption, NoConvergence, U1BetheError,
-                     UnknownGridPoint)
+from .errors import ConfigError, InvalidOption, U1BetheError, UnknownGridPoint
 from .weights import (check_regularity, check_unitarity, check_yang_baxter,
                       higher_spin_xxz, load_table_file, random_point,
                       six_vertex)
@@ -242,7 +241,7 @@ def cmd_check_r(model, ctx, opts):
                         "worst_sample": list(where[worst]) if vals else []})
         residuals.extend(vals)
     passed = all(r <= opts.tol for r in residuals)
-    return results, residuals, passed, None
+    return results, residuals, passed, {}
 
 
 def cmd_identities(model, ctx, opts):
@@ -262,7 +261,7 @@ def cmd_identities(model, ctx, opts):
             "pass": rep.passed,
         })
         residuals.append(rep.max_residual)
-    return results, residuals, all(r["pass"] for r in results), None
+    return results, residuals, all(r["pass"] for r in results), {}
 
 
 def cmd_solve(model, ctx, opts):
@@ -271,25 +270,19 @@ def cmd_solve(model, ctx, opts):
             for _ in range(opts.lambdas)]
     results = []
     residuals = []
-    csv_rows = None
     spectrum = None
     if opts.spectrum:
         # the solved sector is all the check needs; the CSV lists every one
         spectrum = verify.exact_spectrum(
             ctx, lams[0], None if opts.csv else (opts.n,))
-        csv_rows = [(n, k, ev.real, ev.imag)
-                    for n, evs in spectrum for k, ev in enumerate(evs)]
-    try:
-        sets = bt.solve_bae(ctx, opts.n, tol=opts.tol,
-                            n_seeds=opts.seeds, seed=opts.seed,
-                            max_iter=opts.max_iter)
-    except NoConvergence as err:
-        # finding no state is a failed check, not a vacuous pass
+    got = bt.solve_sector(ctx, opts.n, tol=opts.tol, n_seeds=opts.seeds,
+                          seed=opts.seed, max_iter=opts.max_iter)
+    # finding no state is a failed check, not a vacuous pass
+    passed = bool(got.states)
+    if not passed:
         results.append({"roots": None, "note": "no roots found",
-                        "best_residual": float(err.best_residual or 0.0)})
-        return results, [], False, csv_rows
-    passed = True
-    for rs in sets:
+                        "best_residual": float(got.best_residual)})
+    for rs in got.states:
         bres = amp.worst_residual([abs(bt.bae_residual(ctx, rs.roots, j))
                                    for j in range(1, rs.n + 1)])
         record = {"roots": list(rs.roots),
@@ -309,7 +302,14 @@ def cmd_solve(model, ctx, opts):
             if not any(bt.same_state(pred0, ev) for ev in evs):
                 passed = False
         results.append(record)
-    return results, residuals, passed, csv_rows
+    if opts.csv:
+        with open(opts.csv, "w", encoding="utf-8") as fh:
+            fh.write("sector,index,re,im\n")
+            for n, evs in spectrum:
+                for k, ev in enumerate(evs):
+                    fh.write(f"{n},{k},{ev.real:.17g},{ev.imag:.17g}\n")
+    return results, residuals, passed, {
+        "seed_outcomes": {"n": opts.n, **got.outcomes}}
 
 
 def _parse_root(text):
@@ -358,7 +358,7 @@ def cmd_offshell(model, ctx, opts):
                          / max(np.max(np.abs(wanted_total)), 1e-30))
     results.append({"lambda": lam, "roots": list(roots),
                     "unwanted_over_wanted": rel_unwanted})
-    return results, residuals, all(r <= opts.tol for r in residuals), None
+    return results, residuals, all(r <= opts.tol for r in residuals), {}
 
 
 def cmd_rules(model, ctx, opts):
@@ -386,7 +386,7 @@ def cmd_rules(model, ctx, opts):
                     "expected_counts": expected,
                     "counts_match": counts == expected})
     passed = all(r <= opts.tol for r in residuals) and counts == expected
-    return results, residuals, passed, None
+    return results, residuals, passed, {}
 
 
 _COMMANDS = {
@@ -480,7 +480,8 @@ def _run(opts):
     raw, lines = parse_config(opts.config)
     model = build_model(raw, lines)
     ctx = build_context(model, raw, lines)
-    results, residuals, passed, csv_rows = run_command(
+    # `extra` holds a command's report sections beyond its results
+    results, residuals, passed, extra = run_command(
         opts.command, model, ctx, opts)
     # echo the options that shape the results; pure I/O switches stay out
     # so that identical runs give byte-identical reports wherever written
@@ -493,6 +494,7 @@ def _run(opts):
         "options": echoed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "results": results,
+        **extra,
         "residual_summary": _summary(residuals),
         "pass": passed,
     }
@@ -500,11 +502,6 @@ def _run(opts):
     if opts.out:
         with open(opts.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if csv_rows is not None and opts.csv:
-        with open(opts.csv, "w", encoding="utf-8") as fh:
-            fh.write("sector,index,re,im\n")
-            for n, k, re, im in csv_rows:
-                fh.write(f"{n},{k},{re:.17g},{im:.17g}\n")
     if not opts.quiet:
         if opts.out:
             status = "pass" if passed else "FAIL"

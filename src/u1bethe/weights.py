@@ -4,10 +4,11 @@ A weight matrix R(lambda, mu) stores only its ice entries: the ice rule
 a + b = c + d forces every other entry to vanish structurally.  They lie
 in the charge blocks q = a + b - 1 (q = 1..2N-1), with a, c running over
 max(1, q+1-N)..min(q, N), and are kept in one flat array, block by block.
-Evaluations are memoized per model in a bounded LRU (`ModelSpec`).  The
-two families of difference form also evaluate a whole array of
-u = lambda - mu in one call (`ModelSpec.array_fn`), bit for bit the scalar
-evaluations.
+Evaluations are memoized per model in a bounded LRU (`ModelSpec`), and
+handed out read-only.  Every model also evaluates an array of points in
+one call (`ModelSpec.array_fn`), bit for bit the scalar evaluations: the
+two families of difference form in one array pass over u = lambda - mu,
+the other models point by point.
 
 Built-in families:
 
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import IndexOutOfRange, ParameterDomain, UnknownGridPoint
 
 __all__ = [
-    "ModelSpec", "WeightMatrix", "RationalKernel",
+    "ModelSpec", "WeightMatrix", "RationalKernel", "ice_slot",
     "six_vertex", "higher_spin_xxz", "table_model", "custom_model",
     "permutation_model", "eval_r", "check_ice_rule", "check_yang_baxter",
     "check_unitarity", "check_regularity", "charge_block",
@@ -130,6 +131,11 @@ def ice_row_slots(N):
     return _layout(N).row_slots
 
 
+def ice_slot(N, a, b, c, d):
+    """Storage slot of the ice entry R_{a,b}^{c,d} of an N-state matrix."""
+    return _layout(N).index[(a, b, c, d)]
+
+
 def ice_entry_count(N):
     """Number of entries a + b = c + d of an N-state weight matrix."""
     return (2 * N ** 3 + N) // 3
@@ -148,7 +154,7 @@ class WeightMatrix:
     def __init__(self, N, values):
         self.N = int(N)
         self._lay = _layout(self.N)
-        self._vals = values
+        self._vals = np.asarray(values, dtype=complex)
 
     @classmethod
     def zeros(cls, N):
@@ -220,7 +226,9 @@ class WeightMatrix:
 
 
 def _evaluate(eval_fn, lam, mu):
-    return eval_fn(_finite(lam), _finite(mu))
+    w = eval_fn(_finite(lam), _finite(mu))
+    w.values.setflags(write=False)  # the memo hands it to every caller
+    return w
 
 
 class ModelSpec:
@@ -229,7 +237,8 @@ class ModelSpec:
     Instances are immutable after construction.  Evaluations are memoized
     by the exact (lambda, mu) pair in an LRU of min(4096, 2^21 / K) entries
     for K = `ice_entry_count(N)`, at most 32 MiB of entry values for any N;
-    an evicted point is evaluated again to the same bits.
+    an evicted point is evaluated again to the same bits.  The memoized
+    matrices are read-only: every caller gets the same one.
     """
 
     # default inhomogeneity of every chain site
@@ -253,8 +262,8 @@ class ModelSpec:
         self.kernel = kernel
         # for a model of difference form, array_fn(us) maps a 1-D complex
         # array of u = lam - mu to the (len(us), K) flat ice entries, row s
-        # bit for bit eval_r's values at us[s]; None for the other models
-        self.array_fn = array_fn
+        # bit for bit eval_r's values at us[s]; `ModelSpec.array_fn` runs it
+        self._array_kernel = array_fn
         # bound to eval_fn, not to self: the memo makes no reference cycle
         self._memo = functools.lru_cache(
             maxsize=min(4096, 2 ** 21 // ice_entry_count(self.N)))(
@@ -266,6 +275,20 @@ class ModelSpec:
 
     def eval_r(self, lam, mu):
         return self._memo(complex(lam), complex(mu))
+
+    def array_fn(self, lams, mus=0.0):
+        """R at the points (lams[s], mus[s]) of two broadcast 1-D complex
+        arrays: a (P, K) array of flat ice entries, row s bit for bit
+        `eval_r`'s values there.  It raises `eval_r`'s error at the first
+        point that `eval_r` refuses.  A model of difference form takes one
+        array pass over u = lam - mu; the others call `eval_r` per point."""
+        if self._array_kernel:
+            return self._array_kernel(lams - mus)
+        lams, mus = np.broadcast_arrays(lams, mus)
+        out = np.empty((lams.size, ice_entry_count(self.N)), dtype=complex)
+        for s, (lam, mu) in enumerate(zip(lams.tolist(), mus.tolist())):
+            out[s] = self.eval_r(lam, mu).values
+        return out
 
 
 def eval_r(model, lam, mu):

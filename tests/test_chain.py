@@ -40,6 +40,21 @@ def test_dense_forms_are_not_shared():
     assert C.lax(six, lam, 0)[1, 1] == six.eval_r(lam, 0).entry(1, 2, 1, 2)
 
 
+def test_memoized_weights_are_read_only(spin1):
+    # every caller gets the memoized matrix itself, so none may write it
+    six = W.six_vertex(ETA)
+    lam = 0.3 + 0.1j
+    w = six.eval_r(lam, 0)
+    with pytest.raises(ValueError):
+        w.values[1] = 99
+    with pytest.raises(ValueError):
+        w.set_entry(1, 2, 1, 2, 99)
+    assert W.check_unitarity(six, lam, 0) <= 1e-15
+    custom = W.custom_model(3, lambda l, m: spin1.eval_r(l, m).dense())
+    for model in (spin1, custom):
+        assert not model.eval_r(lam, 0).values.flags.writeable
+
+
 def test_lax_u1_invariance(spin1):
     # the ice rule makes [R, Sz x I + I x Sz] vanish entry by entry
     N = spin1.N

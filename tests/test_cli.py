@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from u1bethe import bethe as B
 from u1bethe import cli
 from u1bethe import verify as V
 from u1bethe import weights as W
@@ -191,6 +192,26 @@ def test_solve_spectrum_on_a_long_chain(tmp_path):
     assert run(["solve", "--config", cfg, "--n", "2", "--spectrum",
                 "--out", str(out), "--quiet"]) == 0
     assert '"spectrum_distance"' in out.read_text()
+
+
+@pytest.mark.parametrize("extra, found", [
+    (["--n", "2", "--seeds", "30"], True),
+    (["--seeds", "1", "--max-iter", "1"], False),
+], ids=["found", "none-found"])
+def test_solve_reports_seed_outcomes(six_cfg, extra, found, tmp_path):
+    # every seed is counted once, by what became of it
+    out = tmp_path / "s.json"
+    assert run(["solve", "--config", six_cfg, *extra, "--out", str(out),
+                "--quiet"]) == (0 if found else 1)
+    report = json.loads(out.read_text())
+    counts = report["seed_outcomes"]
+    assert counts.pop("n") == (2 if found else 1)
+    assert tuple(counts) == B.SEED_OUTCOMES
+    assert sum(counts.values()) == (30 if found else 1)
+    if found:
+        assert counts["converged"] == len(report["results"])
+    else:
+        assert counts["max_iter"] == 1
 
 
 @pytest.mark.parametrize("args", [
