@@ -23,7 +23,7 @@ from .chain import (dense_sector_dimension, monodromy_element,
                     reference_state, transfer_block, vacuum_weight)
 from .errors import (DegenerateParameters, IndexOutOfRange, ParameterDomain,
                      Singularity)
-from .weights import charge_block, eval_r, random_point
+from .weights import charge_block, eval_r, ice_flip_slots, random_point
 
 __all__ = [
     "RuleCoefficients", "RuleTerm", "IdentityReport",
@@ -45,18 +45,37 @@ def exact_spectrum(ctx, lam, sectors=None):
     """Eigenvalues of T(lam) per S^z sector, by dense diagonalization.
 
     Returns (n, sorted eigenvalues) for each sector n in `sectors`, every
-    sector by default.  Every requested sector is checked against
-    `DENSE_LIMIT` before any block is built.
+    sector by default, each in an array of its own.  Every requested
+    sector is checked against `DENSE_LIMIT` before any block is built.
+    If each site's weights at lam equal their spin flip a -> N+1-a exactly,
+    the chain flip i -> N^L-1-i, which reverses sector n onto top - n for
+    top = (N-1) L, commutes with T(lam): sector n > top/2 is read from
+    top - n, and the middle sector splits in two.
     """
-    sectors = tuple(range((ctx.N - 1) * ctx.L + 1) if sectors is None
-                    else sectors)
+    top = (ctx.N - 1) * ctx.L
+    sectors = tuple(range(top + 1) if sectors is None else sectors)
     for n in sectors:
         dense_sector_dimension(ctx.N, ctx.L, n)
-    out = []
-    for n in sectors:
-        evals = np.linalg.eigvals(transfer_block(ctx, lam, n))
-        out.append((n, np.array(sorted(evals, key=lambda z: (z.real, z.imag)))))
-    return out
+    sites = [eval_r(ctx.model, lam, mu).values for mu in ctx.inhomogeneities]
+    flip = all(np.array_equal(w[ice_flip_slots(ctx.N)], w) for w in sites)
+    mirror = {n: min(n, top - n) if flip else n for n in sectors}
+    evals = {m: (_centrosymmetric_eigvals if flip and 2 * m == top
+                 else np.linalg.eigvals)(transfer_block(ctx, lam, m))
+             for m in dict.fromkeys(mirror.values())}
+    return [(n, np.array(sorted(evals[mirror[n]],
+                                key=lambda z: (z.real, z.imag))))
+            for n in sectors]
+
+
+def _centrosymmetric_eigvals(block):
+    """Eigenvalues of a d x d block with B[p, q] = B[d-1-p, d-1-q]: those of
+    its halves even and odd under p -> d-1-p (the middle p of odd d: even)."""
+    h, r = divmod(len(block), 2)
+    mirror = block[:h + r, ::-1][:, :h]  # B[p, d-1-q] for q < h
+    even = block[:h + r, :h + r].copy()
+    even[:, :h] += mirror
+    return np.concatenate([np.linalg.eigvals(even),
+                           np.linalg.eigvals(block[:h, :h] - mirror[:h])])
 
 
 def eigenstate_residual(ctx, lam, roots, cache=None):

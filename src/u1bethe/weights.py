@@ -112,6 +112,8 @@ class _Layout:
             self.keys += [(a, q + 1 - a, c, q + 1 - c)
                           for a in range(lo, hi + 1) for c in range(lo, hi + 1)]
         self.index = {key: k for k, key in enumerate(self.keys)}
+        self.flip = np.array([self.index[tuple(N + 1 - i for i in key)]
+                              for key in self.keys])
         # row_slots[(a-1) N + (b-1), c - lo] = slot of R_{a,b}^{c,d}, over the
         # block's columns c = lo..hi, padded with the slot past the last entry
         self.row_slots = np.full((N * N, N), len(self.keys))
@@ -129,6 +131,12 @@ def ice_row_slots(N):
     """(N^2, N) storage slots of each weight row (a, b) over its charge
     block's columns, padded with `ice_entry_count(N)`; row (a-1) N + (b-1)."""
     return _layout(N).row_slots
+
+
+def ice_flip_slots(N):
+    """Per storage slot, the slot of its spin flip a -> N+1-a on all four
+    indices: `values[ice_flip_slots(N)]` is the flipped matrix."""
+    return _layout(N).flip
 
 
 def ice_slot(N, a, b, c, d):
@@ -157,15 +165,15 @@ class WeightMatrix:
         self._vals = np.asarray(values, dtype=complex)
 
     @classmethod
-    def zeros(cls, N):
-        return cls(N, np.zeros(ice_entry_count(N), dtype=complex))
-
-    @classmethod
     def from_entries(cls, N, entries):
         """Build from a dict {(a,b,c,d): value}; rejects non-ice keys."""
-        w = cls.zeros(N)
+        w = cls(N, np.zeros(ice_entry_count(N), dtype=complex))
         for (a, b, c, d), val in entries.items():
-            w.set_entry(a, b, c, d, val)
+            k = w._lay.index.get((a, b, c, d))
+            if k is None:
+                w._check_range(a, b, c, d)
+                raise ParameterDomain(f"({a},{b})->({c},{d}) violates the ice rule")
+            w._vals[k] = complex(val)
         return w
 
     @classmethod
@@ -198,13 +206,6 @@ class WeightMatrix:
             return self._vals[k]
         self._check_range(a, b, c, d)
         return 0.0 + 0.0j
-
-    def set_entry(self, a, b, c, d, value):
-        self._check_range(a, b, c, d)
-        k = self._lay.index.get((a, b, c, d))
-        if k is None:
-            raise ParameterDomain(f"({a},{b})->({c},{d}) violates the ice rule")
-        self._vals[k] = complex(value)
 
     def items(self):
         """Yield every ice entry (a, b, c, d, value) in storage order."""

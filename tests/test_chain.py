@@ -47,8 +47,6 @@ def test_memoized_weights_are_read_only(spin1):
     w = six.eval_r(lam, 0)
     with pytest.raises(ValueError):
         w.values[1] = 99
-    with pytest.raises(ValueError):
-        w.set_entry(1, 2, 1, 2, 99)
     assert W.check_unitarity(six, lam, 0) <= 1e-15
     custom = W.custom_model(3, lambda l, m: spin1.eval_r(l, m).dense())
     for model in (spin1, custom):

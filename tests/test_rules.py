@@ -252,6 +252,85 @@ def test_exact_spectrum_small(six):
     assert abs(dict(spectrum)[0][0] - want) < 1e-12 * abs(want)
 
 
+def assert_same_spectrum(got, want, tol=1e-12):
+    # one to one: each wanted eigenvalue takes the nearest one not yet
+    # taken, within tol of the sector's largest |Λ|
+    assert len(got) == len(want)
+    left = list(got)
+    for z in want:
+        k = int(np.argmin(np.abs(np.array(left) - z)))
+        assert abs(left.pop(k) - z) <= tol * np.max(np.abs(want))
+
+
+def count_blocks(monkeypatch):
+    # the sectors whose dense blocks exact_spectrum builds, in order
+    built = []
+
+    def counting(ctx, lam, n):
+        built.append(n)
+        return C.transfer_block(ctx, lam, n)
+    monkeypatch.setattr(V, "transfer_block", counting)
+    return built
+
+
+def flip_symmetrized_spin1(spin1):
+    # (w + flipped w) / 2 is its own flip to the bit: the sum commutes
+    flip = W.ice_flip_slots(3)
+
+    def weights(lam, mu):
+        w = spin1.eval_r(lam, mu).values
+        return W.WeightMatrix(3, (w + w[flip]) / 2)
+    return W.custom_model(3, weights)
+
+
+@pytest.mark.parametrize("model, L", [
+    ("six", 6), ("six", 7), ("six", 8),
+    # middle sectors of dimension 3 and 7, each with a state its own mirror
+    ("perm3", 2), ("spin1-symmetrized", 3)])
+def test_flip_reduced_spectrum_matches_direct_eigvals(model, L, six, spin1,
+                                                      monkeypatch):
+    model = {"six": six, "perm3": W.permutation_model(3),
+             "spin1-symmetrized": flip_symmetrized_spin1(spin1)}[model]
+    ctx = C.ChainContext(model, L, [0.05 * k + 0.02j * k
+                                    for k in range(1, L + 1)])
+    top = (model.N - 1) * L
+    for lam in (0.31 + 0.12j, -0.47 + 0.58j):
+        built = count_blocks(monkeypatch)
+        spectrum = V.exact_spectrum(ctx, lam)
+        assert built == list(range(top // 2 + 1))
+        assert [n for n, _ in spectrum] == list(range(top + 1))
+        for n, evs in spectrum:
+            want = np.linalg.eigvals(C.transfer_block(ctx, lam, n))
+            assert_same_spectrum(evs, want)
+
+
+def test_flip_asymmetric_weights_take_the_plain_path(six, monkeypatch):
+    # six-vertex with the b weight of (2,1;2,1) off from its flip partner
+    def weights(lam, mu):
+        w = six.eval_r(lam, mu).values.copy()
+        w[W.ice_slot(2, 2, 1, 2, 1)] *= 1.1
+        return W.WeightMatrix(2, w)
+    ctx = C.ChainContext(W.custom_model(2, weights), 6,
+                         [0.05 * k + 0.02j * k for k in range(1, 7)])
+    lam = 0.31 + 0.12j
+    built = count_blocks(monkeypatch)
+    spectrum = V.exact_spectrum(ctx, lam)
+    assert built == list(range(7))
+    for n, evs in spectrum:
+        want = np.linalg.eigvals(C.transfer_block(ctx, lam, n))
+        assert np.array_equal(
+            evs, sorted(want, key=lambda z: (z.real, z.imag)))
+
+
+def test_mirrored_sectors_are_separate_arrays(six):
+    ctx = C.ChainContext(six, 4)
+    spectrum = dict(V.exact_spectrum(ctx, 0.31 + 0.12j))
+    for n in (1, 3):
+        partner = spectrum[4 - n].copy()
+        spectrum[n][:] = 0
+        assert np.array_equal(spectrum[4 - n], partner)
+
+
 def test_exact_spectrum_dimension_guard(six):
     # L=16: sector 8 has 12,870 states, over DENSE_LIMIT; refused before
     # any contraction plan is built

@@ -44,12 +44,11 @@ def ice_entries(draw):
 
 @PROPS
 @given(ice_entries())
-def test_set_entry_round_trip(case):
+def test_from_entries_round_trip(case):
     N, entries = case
-    w = W.WeightMatrix.zeros(N)
+    w = W.WeightMatrix.from_entries(N, entries)
     oracle = np.zeros((N * N, N * N), dtype=complex)
     for key, v in entries.items():
-        w.set_entry(*key, v)
         oracle[slot(N, *key)] = v
     for key in all_keys(N):
         assert w.entry(*key) == oracle[slot(N, *key)]
@@ -59,10 +58,10 @@ def test_set_entry_round_trip(case):
     assert got == sorted(ice_keys(N), key=lambda k: (k[0] + k[1], k[0], k[2]))
     assert all(v == oracle[slot(N, a, b, c, d)] for a, b, c, d, v in w.items())
     assert len(list(w.items())) == len(ice_keys(N))
-    # set_entry after dense() must not serve a stale dense form
+    # a write into values after dense() must not serve a stale dense form
     if entries:
         key = next(iter(entries))
-        w.set_entry(*key, 7.5 - 1j)
+        w.values[W.ice_slot(N, *key)] = 7.5 - 1j
         oracle[slot(N, *key)] = 7.5 - 1j
         assert np.array_equal(w.dense(), oracle)
 
@@ -72,11 +71,9 @@ def test_set_entry_round_trip(case):
 def test_non_ice_and_out_of_range_keys_rejected(N, data):
     off = [k for k in all_keys(N) if k[0] + k[1] != k[2] + k[3]]
     key = data.draw(st.sampled_from(off))
-    w = W.WeightMatrix.zeros(N)
-    with pytest.raises(ParameterDomain):
-        w.set_entry(*key, 1.0)
     with pytest.raises(ParameterDomain):
         W.WeightMatrix.from_entries(N, {key: 1.0})
+    w = W.WeightMatrix.from_entries(N, {})
     assert w.entry(*key) == 0
     bad = list(data.draw(st.sampled_from(ice_keys(N))))
     bad[data.draw(st.integers(0, 3))] = data.draw(
@@ -84,7 +81,7 @@ def test_non_ice_and_out_of_range_keys_rejected(N, data):
     with pytest.raises(IndexOutOfRange):
         w.entry(*bad)
     with pytest.raises(IndexOutOfRange):
-        w.set_entry(*bad, 1.0)
+        W.WeightMatrix.from_entries(N, {tuple(bad): 1.0})
 
 
 @PROPS
@@ -116,9 +113,8 @@ def test_table_file_round_trip_is_exact(case, points):
     N, entries = case
     records = []
     for k, (lam, mu) in enumerate(points):
-        w = W.WeightMatrix.zeros(N)
-        for key, v in entries.items():
-            w.set_entry(*key, v * (k + 1))
+        w = W.WeightMatrix.from_entries(
+            N, {key: v * (k + 1) for key, v in entries.items()})
         records.append((lam, mu, w))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "w.tab"

@@ -190,18 +190,19 @@ def test_block_round_trip(spin32):
     lam, mu = points(spin32, rng, 2)
     w = spin32.eval_r(lam, mu)
     N = spin32.N
-    rebuilt = W.WeightMatrix.zeros(N)
+    entries = {}
     for q1 in range(1, N + 1):
         blk = W.charge_block(w, 1, q1)
         for b in range(1, q1 + 1):
             for c in range(1, q1 + 1):
-                rebuilt.set_entry(q1 + 1 - b, b, c, q1 + 1 - c, blk[b - 1, c - 1])
+                entries[q1 + 1 - b, b, c, q1 + 1 - c] = blk[b - 1, c - 1]
     for q1 in range(1, N):
         blk = W.charge_block(w, 2, q1)
         for b in range(1, q1 + 1):
             for c in range(1, q1 + 1):
-                rebuilt.set_entry(N + 1 - b, N - q1 + b,
-                                  N - q1 + c, N + 1 - c, blk[b - 1, c - 1])
+                entries[N + 1 - b, N - q1 + b,
+                        N - q1 + c, N + 1 - c] = blk[b - 1, c - 1]
+    rebuilt = W.WeightMatrix.from_entries(N, entries)
     assert np.max(np.abs(rebuilt.dense() - w.dense())) == 0.0
 
 
