@@ -19,7 +19,7 @@ __all__ = [
     "DENSE_LIMIT", "MAX_CHAIN_DIM", "ChainContext", "ChainOperator",
     "StateVector", "lax", "monodromy_element", "transfer_matrix",
     "reference_state", "vacuum_weight", "spin_z_total", "sector_indices",
-    "transfer_block", "dense_sector_dimension",
+    "transfer_block", "dense_sector_dimension", "monodromy_columns",
 ]
 
 # Largest dimension of a dense matrix that may be requested: the full N^L
@@ -268,16 +268,22 @@ def _site_weights(ctx, lam):
             for mu in ctx.inhomogeneities]
 
 
-def _contract(plan, weights, a, b, seg):
-    """T_{a,b} in plan coordinates: `seg` holds the rows of segment b - 1
-    (aux digit b - 1) times k columns; returns the rows of segment a - 1."""
+def _contract(plan, weights, b, seg):
+    """T_{a,b} for every a in plan coordinates: `seg` holds the rows of
+    segment b - 1 (aux digit b - 1) times k columns; segment a - 1 of the
+    returned rows holds T_{a,b} seg."""
     cur = np.zeros((plan.size, seg.shape[1]), dtype=complex)
     start, stop, _ = plan.segments[b - 1]
     cur[start:stop] = seg
     for vals, (partners, slots) in zip(weights, plan.gates()):
         cur = np.einsum("sc,sck->sk", vals[slots], cur[partners])
-    start, stop, _ = plan.segments[a - 1]
-    return cur[start:stop]
+    return cur
+
+
+def _sectors(ctx, cols):
+    """The charge sectors that the rows of the (N^L, k) `cols` occupy."""
+    rows = np.flatnonzero(cols.any(axis=1))
+    return np.flatnonzero(np.bincount(_digit_sums(ctx.N, ctx.L)[rows]))
 
 
 def _apply_monodromy_sum(ctx, lam, pairs, vec):
@@ -288,16 +294,33 @@ def _apply_monodromy_sum(ctx, lam, pairs, vec):
     """
     cols = vec.reshape(ctx.dim, -1)
     out = np.zeros(cols.shape, dtype=complex)
-    rows = np.flatnonzero(cols.any(axis=1))
-    if len(rows) == 0:
+    sectors = _sectors(ctx, cols)
+    if len(sectors) == 0:
         return out.reshape(vec.shape)
-    sectors = np.flatnonzero(np.bincount(_digit_sums(ctx.N, ctx.L)[rows]))
     weights = _site_weights(ctx, lam)
     for a, b in pairs:
         plan = ctx._plan(tuple((sectors + (b - 1)).tolist()))
-        out[plan.segments[a - 1][2]] += _contract(
-            plan, weights, a, b, cols[plan.segments[b - 1][2]])
+        start, stop, idx = plan.segments[a - 1]
+        out[idx] += _contract(plan, weights, b,
+                              cols[plan.segments[b - 1][2]])[start:stop]
     return out.reshape(vec.shape)
+
+
+def monodromy_columns(ctx, lam, b, vecs):
+    """T_{a,b}(lam) vecs for every a = 1..N from one contraction of the
+    (N^L, k) batch `vecs`: an (N, N^L, k) array, entry a - 1 the
+    application of T_{a,b}(lam), each column bit for bit
+    `monodromy_element(ctx, lam, a, b).apply` of that column alone."""
+    out = np.zeros((ctx.N,) + vecs.shape, dtype=complex)
+    sectors = _sectors(ctx, vecs)
+    if len(sectors) == 0:
+        return out
+    plan = ctx._plan(tuple((sectors + (b - 1)).tolist()))
+    cur = _contract(plan, _site_weights(ctx, lam), b,
+                    vecs[plan.segments[b - 1][2]])
+    for a, (start, stop, idx) in enumerate(plan.segments):
+        out[a, idx] = cur[start:stop]
+    return out
 
 
 def transfer_block(ctx, lam, n):
@@ -315,11 +338,12 @@ def transfer_block(ctx, lam, n):
     for a in range(1, ctx.N + 1):
         # total charge n + a - 1: segment a - 1 is sector n, in index order
         plan = ctx._plan((n + a - 1,))
+        start, stop, _ = plan.segments[a - 1]
         width = _chunk_width(ctx.N, plan.size)
         for lo in range(0, dim, width):
             hi = min(lo + width, dim)
             eye = np.eye(dim, hi - lo, -lo, dtype=complex)  # columns lo..hi-1
-            block[:, lo:hi] += _contract(plan, weights, a, a, eye)
+            block[:, lo:hi] += _contract(plan, weights, a, eye)[start:stop]
     return block
 
 

@@ -19,8 +19,9 @@ import numpy as np
 from . import amplitudes as amp
 from . import bethe as bt
 from .amplitudes import relative_residual, worst_residual
-from .chain import (dense_sector_dimension, monodromy_element,
-                    reference_state, transfer_block, vacuum_weight)
+from .chain import (dense_sector_dimension, monodromy_columns,
+                    monodromy_element, reference_state, transfer_block,
+                    vacuum_weight)
 from .errors import (DegenerateParameters, IndexOutOfRange, ParameterDomain,
                      Singularity)
 from .weights import charge_block, eval_r, ice_flip_slots, random_point
@@ -406,24 +407,39 @@ def check_rule_on_lattice(ctx, rule, trials=3):
 
     Both sides act on `trials` random vectors (seeded, so repeatable);
     the residual is the worst max-abs mismatch over trials, normalized by
-    the larger side.
+    the larger side.  Each product T_{i,j}(x) T_{k,m}(y) is read from one
+    contraction per distinct right factor (y, m) and one per distinct left
+    factor (x, j), over all of its inner vectors stacked as columns, and
+    the terms are summed in the rule's order.
     """
     rng = np.random.default_rng(0)
     args = {"lam": rule.lam, "mu": rule.mu}
-
-    def product(left, right, vecs):
-        (i, j, ltag), (k, m, rtag) = left, right
-        inner = monodromy_element(ctx, args[rtag], k, m).apply(vecs)
-        return monodromy_element(ctx, args[ltag], i, j).apply(inner)
-
     vecs = np.empty((ctx.dim, trials), dtype=complex)
     for k in range(trials):
         vecs[:, k] = (rng.standard_normal(ctx.dim)
                       + 1j * rng.standard_normal(ctx.dim))
-    lv = product(*rule.lhs, vecs)
+    products = [rule.lhs] + [(t.left, t.right) for t in rule.terms]
+    inner, groups = {}, {}
+    for (_, j, ltag), right in products:
+        _, m, rtag = right
+        if (rtag, m) not in inner:
+            inner[rtag, m] = monodromy_columns(ctx, args[rtag], m, vecs)
+        groups.setdefault((ltag, j), {})[right] = None  # an ordered set
+    applied = {}
+    for (ltag, j), rights in groups.items():
+        outs = monodromy_columns(ctx, args[ltag], j, np.concatenate(
+            [inner[rtag, m][k - 1] for k, m, rtag in rights], axis=1))
+        for s, right in enumerate(rights):
+            applied[ltag, j, right] = outs[:, :, s * trials:(s + 1) * trials]
+
+    def product(left, right):
+        i, j, ltag = left
+        return applied[ltag, j, right][i - 1]
+
+    lv = product(*rule.lhs)
     rv = np.zeros_like(lv)
     for t in rule.terms:
-        rv += t.coeff * product(t.left, t.right, vecs)
+        rv += t.coeff * product(t.left, t.right)
     return worst_residual([relative_residual(lv[:, k], rv[:, k])
                            for k in range(trials)])
 

@@ -489,13 +489,24 @@ class RationalKernel:
     def evaluate_array(self, us):
         """`evaluate`'s flat entries at every u of the 1-D array `us`, as a
         (len(us), K) array with the same bits.  np.exp and the powers
-        vectorize bit for bit; each point keeps its own matrix-vector
-        product, which a stacked matrix product does not reproduce."""
+        vectorize bit for bit, and each Laurent branch takes one stacked
+        matrix product.  On the flipped branch the coefficients are the
+        reversed view that `_entries` reads: numpy multiplies that strided
+        view by the loop of one matrix-vector product, where a contiguous
+        reversed copy would go through BLAS and round differently.  The
+        pole guard's first test (np.hypot is the scalar abs) runs on the
+        array; `_entries` decides at the points it flags, in index order."""
         flip = us.real > 0
         pws = np.exp(np.where(flip, -us, us))[:, None] ** self._powers
         out = np.empty((len(us), len(self._coef)), dtype=complex)
-        for s, u in enumerate(us):
-            out[s] = self._entries(u, flip[s], pws[s])
+        for sel, coef in ((~flip, self._coef), (flip, self._coef[:, ::-1])):
+            out[sel] = (coef[None] @ pws[sel][:, :, None])[:, :, 0]
+        q = out[:, 0].copy()
+        for s in np.flatnonzero(np.hypot(q.real, q.imag)
+                                < 2e-9 * self._q_size):
+            self._entries(us[s], flip[s], pws[s])  # raises at a pole
+        out /= q[:, None]
+        out[:, 0] = 1.0
         return out
 
     def _entries(self, u, flip, pw):
@@ -527,18 +538,23 @@ class RationalKernel:
         weights.  x = x0 - Re(u) / 2 keeps the two Lax factors of one
         size: unshifted, L13 dwarfs L12 at large |Re u|.
         """
+        us = np.asarray(us, dtype=complex)
         N, dim = self.N, 2 * self.N * self.N
-        eye_n = np.eye(N)
-        out = []
-        for u in us:
-            x = _RELATION_OFFSET - u.real / 2
-            lax12, lax13 = _fundamental_lax(N, self.eta, np.array([x, x + u]))
-            l12 = np.kron(lax12, eye_n)
-            l13 = np.einsum("ajbq,ip->aijbpq", lax13.reshape(2, N, 2, N),
-                            eye_n).reshape(dim, dim)
-            r = np.kron(np.eye(2), self.evaluate(u).dense())
-            out.append(relative_residual(l12 @ l13 @ r, r @ l13 @ l12))
-        return out
+        x = _RELATION_OFFSET - us.real / 2
+        lax = _fundamental_lax(N, self.eta, np.stack([x, x + us], axis=-1))
+        lax12, lax13 = lax.reshape(len(us), 2, 2, N, 2, N).swapaxes(0, 1)
+        dense = np.zeros((len(us), N * N, N * N), dtype=complex)
+        lay = _layout(N)
+        dense[:, lay.rows, lay.cols] = self.evaluate_array(us)
+        # products with the identity's exact ones and zeros, as np.kron
+        # forms them: L12 = L (x) I, L13 on spaces 1 and 3, I2 (x) R(u)
+        eye = np.eye(N)
+        l12 = lax12[:, :, :, None, :, :, None] * eye[:, None, None, :]
+        l13 = lax13[:, :, None, :, :, None, :] * eye[:, None, None, :, None]
+        r = np.eye(2)[:, None, :, None] * dense[:, None, :, None, :]
+        # a product per point: stacked ones run slower from N = 7 on
+        return [relative_residual(a @ b @ c, c @ b @ a) for a, b, c in zip(
+            *(m.reshape(-1, dim, dim) for m in (l12, l13, r)))]
 
 
 # the largest N of higher_spin_xxz: the fusion's memory grows like N^5

@@ -509,6 +509,35 @@ def test_sector_engine_matches_einsum_oracle(N, L, budget, monkeypatch):
         assert ctx._plans == {} and ctx._plan_bytes == 0
 
 
+@pytest.mark.parametrize("N, L", [(2, 6), (3, 3), (4, 3), (5, 2)])
+def test_monodromy_columns_are_bitwise_applies(N, L):
+    # one contraction from input b against T_{a,b} applied per a, each
+    # column alone, to the bit: single-sector inputs, a batch whose
+    # columns occupy different sectors, and the zero vector
+    rng = rng_for("columns", 10 * N + L)
+    model = W.higher_spin_xxz(N, ETA)
+    ctx = C.ChainContext(model, L, [W.random_point(rng, model.sample_window)
+                                    for _ in range(L)])
+    lam = W.random_point(rng, model.sample_window)
+    top = (N - 1) * L
+    cases = [_random_in_sectors(rng, N, L, (n,), (ctx.dim, 1))
+             for n in (0, top // 2, top)]
+    cases.append(np.concatenate(
+        [_random_in_sectors(rng, N, L, ns, (ctx.dim, 1))
+         for ns in ((1,), (top - 1, top), range(top + 1))]
+        + [np.zeros((ctx.dim, 1), dtype=complex)], axis=1))
+    cases.append(np.zeros((ctx.dim, 2), dtype=complex))
+    for vecs in cases:
+        for b in range(1, N + 1):
+            got = C.monodromy_columns(ctx, lam, b, vecs)
+            assert got.shape == (N,) + vecs.shape
+            for a in range(1, N + 1):
+                op = C.monodromy_element(ctx, lam, a, b)
+                for k in range(vecs.shape[1]):
+                    want = op.apply(vecs[:, k])
+                    assert got[a - 1, :, k].tobytes() == want.tobytes()
+
+
 def test_plans_are_lazy_and_byte_bounded(six, monkeypatch):
     ctx = C.ChainContext(six, 8)
     assert ctx._plans == {}  # construction builds no plan

@@ -75,6 +75,41 @@ def test_broken_rule_detected(spin1, lattice3):
     assert V.check_rule_on_lattice(lattice3, broken) > 1e-4
 
 
+def _per_product_residual(ctx, rule, trials=3):
+    """check_rule_on_lattice as two monodromy applies per product."""
+    rng = np.random.default_rng(0)
+    args = {"lam": rule.lam, "mu": rule.mu}
+
+    def product(left, right, vecs):
+        (i, j, ltag), (k, m, rtag) = left, right
+        inner = C.monodromy_element(ctx, args[rtag], k, m).apply(vecs)
+        return C.monodromy_element(ctx, args[ltag], i, j).apply(inner)
+
+    vecs = np.empty((ctx.dim, trials), dtype=complex)
+    for k in range(trials):
+        vecs[:, k] = (rng.standard_normal(ctx.dim)
+                      + 1j * rng.standard_normal(ctx.dim))
+    lv = product(*rule.lhs, vecs)
+    rv = np.zeros_like(lv)
+    for t in rule.terms:
+        rv += t.coeff * product(t.left, t.right, vecs)
+    return V.worst_residual([V.relative_residual(lv[:, k], rv[:, k])
+                             for k in range(trials)])
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_grouped_rule_check_is_bitwise_per_product(N):
+    # the grouped contractions against two applies per product, to the
+    # bit, for every rule of every family
+    model = W.higher_spin_xxz(N, ETA)
+    rng = rng_for("grouped", N)
+    ctx = C.ChainContext(model, 2, points(model, rng, 2))
+    for family, indices in V.enumerate_rules(N):
+        rule = V.generate_rule(model, family, indices, *points(model, rng, 2))
+        got = V.check_rule_on_lattice(ctx, rule)
+        assert got == _per_product_residual(ctx, rule), (family, indices)
+
+
 def test_table3_counts():
     for n in range(3, 8):
         assert V.creation_rule_counts(n) == V.table3_counts(n)

@@ -248,6 +248,34 @@ def test_fit_agrees_with_solve(N):
     assert checked >= 6 * len(GRID_ETAS)
 
 
+def _relation_residuals_per_point(kernel, us):
+    """`relation_residuals` one u at a time, with np.kron embeddings."""
+    N, dim = kernel.N, 2 * kernel.N * kernel.N
+    eye_n = np.eye(N)
+    out = []
+    for u in us:
+        x = W._RELATION_OFFSET - u.real / 2
+        lax12, lax13 = W._fundamental_lax(N, kernel.eta, np.array([x, x + u]))
+        l12 = np.kron(lax12, eye_n)
+        l13 = np.einsum("ajbq,ip->aijbpq", lax13.reshape(2, N, 2, N),
+                        eye_n).reshape(dim, dim)
+        r = np.kron(np.eye(2), kernel.evaluate(u).dense())
+        out.append(W.relative_residual(l12 @ l13 @ r, r @ l13 @ l12))
+    return out
+
+
+@pytest.mark.parametrize("eta", [ETA, 1.5, 0.3 + 0.2j])
+@pytest.mark.parametrize("N", range(3, 10))
+def test_relation_residuals_are_bitwise_per_point(N, eta):
+    rng = rng_for(f"relation {eta}", N)
+    kernel = W.RationalKernel(N, eta)
+    us = [0j] + [complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+                 for _ in range(49)]
+    assert kernel.relation_residuals(us) == _relation_residuals_per_point(
+        kernel, us)
+    assert kernel.relation_residuals([]) == []
+
+
 def test_relation_holds_where_the_solve_refuses():
     # a pair that check-r samples on N = 6, eta = 1.5 (default options),
     # where the intertwiner solve finds no one-dimensional nullspace
@@ -362,13 +390,23 @@ def test_shared_kernels_are_bounded():
 
 def test_pole_of_q_raises():
     # Q = prod_j 2 sinh(u + j eta) vanishes at the fusion poles
-    # u = -j eta and -j eta + i pi, j = 1..N-1
+    # u = -j eta and -j eta + i pi, j = 1..N-1; at eta = -ETA they lie at
+    # Re u > 0, where the kernel evaluates in powers of e^-u
     for N in (3, 4, 5, 6):
-        for eta in (ETA, 0.3 + 0.2j, 0.9, 1.5):
+        for eta in (ETA, -ETA, 0.3 + 0.2j, 0.9, 1.5):
             model = W.higher_spin_xxz(N, eta)
             for j in range(1, N):
                 for u in (-j * eta, -j * eta + 1j * np.pi):
                     assert "pole" in _refused_alike(model, u)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_array_of_two_poles_names_the_first(N):
+    # the poles u = ETA and 2 ETA of eta = -ETA (Re u > 0), between good
+    # points: the array evaluator raises eval_r's error at the first
+    model = W.higher_spin_xxz(N, -ETA)
+    us = np.array([0.11 + 0.07j, ETA, 0.23 - 0.31j, 2 * ETA, -0.4])
+    assert _refusal(model.array_fn, us) == _refusal(model.eval_r, ETA, 0.0)
 
 
 def _spectral_frame(r_dense, N, u):
