@@ -196,7 +196,8 @@ def _residual_rows(ctx, x):
         np.concatenate([np.tile(np.array(ctx.inhomogeneities), count * n),
                         x[:, second].ravel()]))
     # w_1 and w_2 of each root as `chain.vacuum_weight`'s math.prod forms
-    # them, in real and imaginary parts (`amplitudes.mul`), site by site
+    # them, site by site in real and imaginary parts: `amplitudes.mul`
+    # gives the same bits but allocates its output at every site, slower
     vac = w[:sites].reshape(count, n, L, -1)[
         ..., [ice_slot(N, 1, 1, 1, 1), ice_slot(N, 2, 1, 2, 1)]]
     vac = np.moveaxis(vac, 2, 0).copy()

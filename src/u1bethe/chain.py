@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DimensionTooLarge, EmptySector, IndexOutOfRange
-from .weights import _finite, eval_r, ice_entry_count, ice_row_slots
+from .weights import _finite, eval_r, ice_entry_count, ice_row_slots, ice_slot
 
 __all__ = [
     "DENSE_LIMIT", "MAX_CHAIN_DIM", "ChainContext", "ChainOperator",
@@ -70,13 +70,6 @@ class ChainContext:
         self.inhomogeneities = inhomogeneities
         self.N = model.N
         self.dim = model.N ** L
-        # storage slots of R_{b,1}^{b,1}, b = 1..N
-        slots = ice_row_slots(model.N)[np.arange(model.N) * model.N,
-                                       np.arange(model.N)]
-        # lam -> (w_1(lam), ..., w_N(lam)); bound to the context's parts,
-        # not to self, so the memo makes no reference cycle
-        self._vacuum = functools.lru_cache(maxsize=4096)(functools.partial(
-            _vacuum_weights, model, np.array(inhomogeneities), slots))
         self._plans = {}   # total charges -> _SectorPlan, built on first apply
         self._plan_bytes = 0
 
@@ -143,7 +136,7 @@ class StateVector:
     @property
     def sector(self):
         """Particle number n if supported in one sector, else None."""
-        sectors = np.unique(_digit_sums(self.N, self.L)[self.amplitudes != 0])
+        sectors = _sectors(self.N, self.L, self.amplitudes[:, None])
         return int(sectors[0]) if len(sectors) == 1 else None
 
     def __add__(self, other):
@@ -280,10 +273,10 @@ def _contract(plan, weights, b, seg):
     return cur
 
 
-def _sectors(ctx, cols):
+def _sectors(N, L, cols):
     """The charge sectors that the rows of the (N^L, k) `cols` occupy."""
     rows = np.flatnonzero(cols.any(axis=1))
-    return np.flatnonzero(np.bincount(_digit_sums(ctx.N, ctx.L)[rows]))
+    return np.flatnonzero(np.bincount(_digit_sums(N, L)[rows]))
 
 
 def _apply_monodromy_sum(ctx, lam, pairs, vec):
@@ -294,7 +287,7 @@ def _apply_monodromy_sum(ctx, lam, pairs, vec):
     """
     cols = vec.reshape(ctx.dim, -1)
     out = np.zeros(cols.shape, dtype=complex)
-    sectors = _sectors(ctx, cols)
+    sectors = _sectors(ctx.N, ctx.L, cols)
     if len(sectors) == 0:
         return out.reshape(vec.shape)
     weights = _site_weights(ctx, lam)
@@ -312,7 +305,7 @@ def monodromy_columns(ctx, lam, b, vecs):
     application of T_{a,b}(lam), each column bit for bit
     `monodromy_element(ctx, lam, a, b).apply` of that column alone."""
     out = np.zeros((ctx.N,) + vecs.shape, dtype=complex)
-    sectors = _sectors(ctx, vecs)
+    sectors = _sectors(ctx.N, ctx.L, vecs)
     if len(sectors) == 0:
         return out
     plan = ctx._plan(tuple((sectors + (b - 1)).tolist()))
@@ -358,21 +351,16 @@ def vacuum_weight(ctx, lam, a):
     """w_a(lam): the diagonal monodromy eigenvalue on the reference state,
     the product over sites k of R_{a,1}^{a,1}(lam, mu_k).
 
-    Every site is evaluated in one `ModelSpec.array_fn` call.  Each
-    product runs in site order over scalars, as an array multiply would
-    round differently.
+    The entries come from the model's weight memo, which every
+    application of T(lam) reads too, and are multiplied in site order as
+    Python scalars: an array multiply would round differently.
     """
     if not 1 <= a <= ctx.N:
         raise IndexOutOfRange(f"index {a} outside 1..{ctx.N}")
-    return ctx._vacuum(complex(lam))[a - 1]
-
-
-def _vacuum_weights(model, mus, slots, lam):
-    """(w_1(lam), ..., w_N(lam)) over the sites at `mus`; `ChainContext`
-    memoizes it bound to its model, inhomogeneities and storage slots."""
-    sites = model.array_fn(_finite(lam), mus)
-    return tuple(np.complex128(math.prod(entries, start=1.0 + 0.0j))
-                 for entries in sites[:, slots].T.tolist())
+    slot = ice_slot(ctx.N, a, 1, a, 1)
+    return np.complex128(math.prod(
+        [eval_r(ctx.model, lam, mu).values.item(slot)
+         for mu in ctx.inhomogeneities], start=1.0 + 0.0j))
 
 
 def spin_z_total(N, L):

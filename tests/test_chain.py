@@ -158,6 +158,7 @@ def test_sector_bookkeeping_matches_digit_loop(N, L):
         assert C.StateVector(N, L, vec).sector == n
     vec[0] = 1.0
     assert C.StateVector(N, L, vec).sector is None
+    assert C.StateVector(N, L, np.zeros(N ** L)).sector is None
 
 
 def test_reference_state_and_vacuum(ctx3):
@@ -187,12 +188,11 @@ def test_vacuum_weight_matches_diagonal_elements(ctx6, ctx3):
 
 
 def test_vacuum_weight_is_bitwise_site_product(ctx6, ctx3):
-    # the memo must return exactly the site-ordered product, also for
-    # values recomputed after it was cleared
+    # exactly the site-ordered product, also when every weight is read
+    # again from the model's memo
     lams = [0.31 - 0.17j, -0.44 + 0.05j, 0.12 + 0.61j, 0.31 - 0.17j, 0.9]
     for ctx in (ctx6, ctx3):
         for _ in range(2):
-            ctx._vacuum.cache_clear()
             for lam in lams:
                 for a in range(ctx.N, 0, -1):
                     want = 1.0 + 0.0j
@@ -200,7 +200,6 @@ def test_vacuum_weight_is_bitwise_site_product(ctx6, ctx3):
                         want *= ctx.model.eval_r(lam, mu).entry(a, 1, a, 1)
                     got = C.vacuum_weight(ctx, lam, a)
                     assert (got.real, got.imag) == (want.real, want.imag)
-            assert ctx._vacuum.cache_info().misses == len(set(lams))
 
 
 def _memoized_model_and_context(model):
@@ -209,7 +208,6 @@ def _memoized_model_and_context(model):
     C.transfer_matrix(ctx, 0.4 + 0.1j).apply(vec)
     C.vacuum_weight(ctx, -0.2 + 0.3j, 1)
     assert model._memo.cache_info().currsize > 0
-    assert ctx._vacuum.cache_info().currsize == 1
     return weakref.ref(model), weakref.ref(ctx)
 
 
@@ -226,26 +224,24 @@ def test_memos_hold_no_reference_to_their_owner():
         gc.enable()
 
 
-def test_vacuum_weight_evaluates_all_sites_in_one_call(six, monkeypatch):
-    # six_vertex has an array evaluator: no scalar evaluation, and the
-    # same bits as a model that evaluates site by site
+def test_vacuum_weight_shares_the_weight_memo():
+    # w_a(lam) reads the weights that an application of T(lam) reads:
+    # after it, the application evaluates no weight, and the values are
+    # the site-by-site products of a model without an array evaluator
+    six = W.six_vertex(ETA)
     mus = [0.05 * k + 0.02j * k for k in range(1, 15)]
     ctx = C.ChainContext(six, 14, mus)
-    scalar = C.ChainContext(W.custom_model(2, six.eval_r), 14, mus)
-    real = W.ModelSpec.eval_r
-    calls = []
-
-    def counted(model, lam, mu):
-        calls.append(model)
-        return real(model, lam, mu)
-
-    monkeypatch.setattr(W.ModelSpec, "eval_r", counted)
+    scalar = W.custom_model(2, six.eval_r)
     lam = 0.31 - 0.17j
     got = [C.vacuum_weight(ctx, lam, a) for a in (1, 2)]
-    assert calls == []
-    want = [C.vacuum_weight(scalar, lam, a) for a in (1, 2)]
-    assert calls == [scalar.model] * 14
-    assert [(w.real, w.imag) for w in got] == [(w.real, w.imag) for w in want]
+    misses = six._memo.cache_info().misses
+    C.transfer_matrix(ctx, lam).apply(C.reference_state(2, 14).amplitudes)
+    assert six._memo.cache_info().misses == misses
+    for a, w in zip((1, 2), got):
+        want = 1.0 + 0.0j
+        for mu in mus:
+            want *= complex(scalar.eval_r(lam, mu).entry(a, 1, a, 1))
+        assert (w.real, w.imag) == (want.real, want.imag)
     with pytest.raises(ParameterDomain):
         C.vacuum_weight(ctx, float("nan"), 1)
 
