@@ -12,9 +12,10 @@ The Bethe equations are solved by a damped Newton iteration that moves
 every seed in lockstep: each iterate evaluates the residuals of all
 seeds and their forward-difference points in one array pass
 (`bae_residuals`) and solves all Newton systems in one stacked call.
-The array residuals are bit for bit the scalar `bae_residual`, the
-oracle they are tested against, so each seed ends where a Newton loop
-of its own would end, with the same outcome.
+Weights refused in that pass come back as a mask that marks their rows
+singular.  The array residuals are bit for bit the scalar `bae_residual`,
+the oracle they are tested against, so each seed ends where a Newton
+loop of its own would end, with the same outcome.
 """
 
 from dataclasses import dataclass
@@ -148,80 +149,58 @@ def bae_residual(ctx, roots, j):
 
 def bae_residuals(ctx, roots):
     """`bae_residual` at every equation of each root set in the rows of the
-    (P, n) array `roots`, from one array evaluation of the weights.
+    (P, n) array `roots`, from one `array_fn` call: R at each root against
+    every site and at each ordered pair of roots.
 
     Returns (residuals, singular): row s of the (P, n) residuals is bit for
     bit [bae_residual(ctx, roots[s], j) for j = 1..n], and singular[s]
     marks the rows where `bae_residual` raises Singularity, ParameterDomain
-    or UnknownGridPoint, whose residuals are nan.
+    or UnknownGridPoint (at a point that `array_fn` refuses, among others),
+    whose residuals are nan.  Products and quotients round as the scalar
+    ones do (`amplitudes.mul`), and site products run in site order.
     """
     x = np.array(roots, dtype=complex)
-    residuals = np.full(x.shape, complex("nan"))
-    singular = ~np.isfinite(x).all(axis=1)
-    rows = np.flatnonzero(~singular)
-    with np.errstate(all="ignore"):  # singular rows compute garbage
-        try:
-            parts = [(rows, *_residual_rows(ctx, x[rows]))]
-        except _EVAL_ERRORS:
-            # a weight is refused somewhere: each row alone tells where
-            parts = []
-            for s in rows:
-                try:
-                    parts.append(([s], *_residual_rows(ctx, x[[s]])))
-                except _EVAL_ERRORS:
-                    singular[s] = True
-    for idx, res, bad in parts:
-        residuals[idx] = np.where(bad[:, None], residuals[idx], res)
-        singular[idx] |= bad
-    return residuals, singular
-
-
-def _residual_rows(ctx, x):
-    """(residuals, singular) of `bae_residuals` at the finite (P, n) rows
-    `x`, but a weight that `eval_r` refuses raises its error.
-
-    One `array_fn` call evaluates R at each root against every site and
-    at each ordered pair of roots.  Products and quotients round as the
-    scalar ones do (`amplitudes.mul`), and site products run in site
-    order.
-    """
     model, N, L = ctx.model, ctx.N, ctx.L
     count, n = x.shape
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     first = [i for i, _ in pairs]
     second = [j for _, j in pairs]
     sites = count * n * L
-    w = model.array_fn(
+    w, refused = model.array_fn(
         np.concatenate([np.repeat(x.ravel(), L), x[:, first].ravel()]),
         np.concatenate([np.tile(np.array(ctx.inhomogeneities), count * n),
                         x[:, second].ravel()]))
-    # w_1 and w_2 of each root as `chain.vacuum_weight`'s math.prod forms
-    # them, site by site in real and imaginary parts: `amplitudes.mul`
-    # gives the same bits but allocates its output at every site, slower
-    vac = w[:sites].reshape(count, n, L, -1)[
-        ..., [ice_slot(N, 1, 1, 1, 1), ice_slot(N, 2, 1, 2, 1)]]
-    vac = np.moveaxis(vac, 2, 0).copy()
-    re, im = 1.0, 0.0
-    for site in vac:
-        re, im = (re * site.real - im * site.imag,
-                  re * site.imag + im * site.real)
-    weights = re.astype(complex)
-    weights.imag = im
-    w2 = weights[..., 1]
-    singular = (w2 == 0).any(axis=1)
-    val = weights[..., 0] / w2
-    if pairs:
-        pw = w[sites:].reshape(count, len(pairs), -1)
-        rev = [pairs.index((j, i)) for i, j in pairs]
-        # pair (i, j): scattering(l_i, l_j) / theta(l_j, l_i)
-        scat, bad_s = amp.scattering_rows(model, pw, pw[:, rev])
-        th, bad_t = amp.theta_rows(model, pw)
-        factor = scat / th[:, rev]
-        singular |= (bad_s | bad_t).any(axis=1)
-        for t in range(n - 1):  # the t-th i != j, ascending, at each j
-            val = amp.mul(val, factor[:, [pairs.index((t + (t >= j), j))
-                                          for j in range(n)]])
-    return val - 1.0, singular
+    singular = (refused[:sites].reshape(count, n * L).any(axis=1)
+                | refused[sites:].reshape(count, len(pairs)).any(axis=1))
+    with np.errstate(all="ignore"):  # singular rows compute garbage
+        # w_1 and w_2 of each root as `chain.vacuum_weight`'s math.prod
+        # forms them, site by site in real and imaginary parts:
+        # `amplitudes.mul` gives the same bits but allocates its output at
+        # every site, slower
+        vac = w[:sites].reshape(count, n, L, -1)[
+            ..., [ice_slot(N, 1, 1, 1, 1), ice_slot(N, 2, 1, 2, 1)]]
+        vac = np.moveaxis(vac, 2, 0).copy()
+        re, im = 1.0, 0.0
+        for site in vac:
+            re, im = (re * site.real - im * site.imag,
+                      re * site.imag + im * site.real)
+        weights = re.astype(complex)
+        weights.imag = im
+        w2 = weights[..., 1]
+        singular |= (w2 == 0).any(axis=1)
+        val = weights[..., 0] / w2
+        if pairs:
+            pw = w[sites:].reshape(count, len(pairs), -1)
+            rev = [pairs.index((j, i)) for i, j in pairs]
+            # pair (i, j): scattering(l_i, l_j) / theta(l_j, l_i)
+            scat, bad_s = amp.scattering_rows(model, pw, pw[:, rev])
+            th, bad_t = amp.theta_rows(model, pw)
+            factor = scat / th[:, rev]
+            singular |= (bad_s | bad_t).any(axis=1)
+            for t in range(n - 1):  # the t-th i != j, ascending, at each j
+                val = amp.mul(val, factor[:, [pairs.index((t + (t >= j), j))
+                                              for j in range(n)]])
+    return np.where(singular[:, None], complex("nan"), val - 1.0), singular
 
 
 def _newton_steps(jac, rhs):

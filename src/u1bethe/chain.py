@@ -98,11 +98,10 @@ class ChainOperator:
     `apply` takes a vector of length N^L or a (N^L, k) batch of columns.
     """
 
-    def __init__(self, N, L, sector_shift, apply_fn):
+    def __init__(self, N, L, apply_fn):
         self.N = N
         self.L = L
         self.dim = N ** L
-        self.sector_shift = sector_shift
         self._apply_fn = apply_fn
 
     def apply(self, vec):
@@ -182,14 +181,14 @@ def monodromy_element(ctx, lam, a, b):
     N = ctx.N
     if not (1 <= a <= N and 1 <= b <= N):
         raise IndexOutOfRange(f"auxiliary indices ({a},{b}) outside 1..{N}")
-    return ChainOperator(N, ctx.L, b - a,
+    return ChainOperator(N, ctx.L,
                          lambda vec: _apply_monodromy_sum(ctx, lam, ((a, b),), vec))
 
 
 def transfer_matrix(ctx, lam):
     """T(lam) = sum_a T_{a,a}(lam); commutes with itself at other lam."""
     pairs = tuple((a, a) for a in range(1, ctx.N + 1))
-    return ChainOperator(ctx.N, ctx.L, 0,
+    return ChainOperator(ctx.N, ctx.L,
                          lambda vec: _apply_monodromy_sum(ctx, lam, pairs, vec))
 
 
@@ -367,8 +366,7 @@ def spin_z_total(N, L):
     """Sum of local S^z = diag(s, s-1, ..., -s) over all sites."""
     s = (N - 1) / 2.0
     diag = (L * s - _digit_sums(N, L)).astype(complex)
-    return ChainOperator(N, L, 0,
-                         lambda v: np.einsum("i,i...->i...", diag, v))
+    return ChainOperator(N, L, lambda v: np.einsum("i,i...->i...", diag, v))
 
 
 def sector_dimension(N, L, n):

@@ -9,6 +9,7 @@ timestamp field is the only run-dependent entry).
 
 import argparse
 import errno
+import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -171,8 +172,7 @@ def _render(obj, indent):
         return _fmt_float(obj)
     if obj is None:
         return "null"
-    text = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{text}"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def render_report(report):

@@ -6,9 +6,9 @@ in the charge blocks q = a + b - 1 (q = 1..2N-1), with a, c running over
 max(1, q+1-N)..min(q, N), and are kept in one flat array, block by block.
 Evaluations are memoized per model in a bounded LRU (`ModelSpec`), and
 handed out read-only.  Every model also evaluates an array of points in
-one call (`ModelSpec.array_fn`), bit for bit the scalar evaluations: the
-two families of difference form in one array pass over u = lambda - mu,
-the other models point by point.
+one call (`ModelSpec.array_fn`), bit for bit the scalar evaluations, with
+a mask of the points they refuse: the two families of difference form in
+one array pass over u = lambda - mu, the other models point by point.
 
 Built-in families:
 
@@ -261,9 +261,9 @@ class ModelSpec:
         self.rapidity_period = rapidity_period
         # the RationalKernel behind eval_fn, for models evaluated through one
         self.kernel = kernel
-        # for a model of difference form, array_fn(us) maps a 1-D complex
-        # array of u = lam - mu to the (len(us), K) flat ice entries, row s
-        # bit for bit eval_r's values at us[s]; `ModelSpec.array_fn` runs it
+        # for a model of difference form, array_fn(us) maps a 1-D array of
+        # finite u = lam - mu to `ModelSpec.array_fn`'s (entries, refused),
+        # but may leave refused rows unset; `ModelSpec.array_fn` runs it
         self._array_kernel = array_fn
         # bound to eval_fn, not to self: the memo makes no reference cycle
         self._memo = functools.lru_cache(
@@ -279,17 +279,28 @@ class ModelSpec:
 
     def array_fn(self, lams, mus=0.0):
         """R at the points (lams[s], mus[s]) of two broadcast 1-D complex
-        arrays: a (P, K) array of flat ice entries, row s bit for bit
-        `eval_r`'s values there.  It raises `eval_r`'s error at the first
-        point that `eval_r` refuses.  A model of difference form takes one
-        array pass over u = lam - mu; the others call `eval_r` per point."""
+        arrays: (entries, refused), with refused[s] True where `eval_r`
+        raises ParameterDomain or UnknownGridPoint (a lam or mu that is not
+        finite included).  Row s of the (P, K) flat ice entries is bit for
+        bit `eval_r`'s values there, and nan where refused.  A model of
+        difference form takes one array pass over u = lam - mu; the others
+        call `eval_r` per point."""
+        refused = ~(np.isfinite(lams) & np.isfinite(mus))
         if self._array_kernel:
-            return self._array_kernel(lams - mus)
-        lams, mus = np.broadcast_arrays(lams, mus)
-        out = np.empty((lams.size, ice_entry_count(self.N)), dtype=complex)
-        for s, (lam, mu) in enumerate(zip(lams.tolist(), mus.tolist())):
-            out[s] = self.eval_r(lam, mu).values
-        return out
+            if refused.any():  # enter as u = 0, where no kernel refuses or warns
+                lams, mus = np.where(refused, 0, lams), np.where(refused, 0, mus)
+            out, pole = self._array_kernel(lams - mus)
+            refused |= pole
+        else:
+            lams, mus = np.broadcast_arrays(lams, mus)
+            out = np.empty((lams.size, ice_entry_count(self.N)), dtype=complex)
+            for s, (lam, mu) in enumerate(zip(lams.tolist(), mus.tolist())):
+                try:
+                    out[s] = self.eval_r(lam, mu).values
+                except (ParameterDomain, UnknownGridPoint):
+                    refused[s] = True
+        out[refused] = complex("nan")
+        return out, refused
 
 
 def eval_r(model, lam, mu):
@@ -328,24 +339,22 @@ def _six_vertex_weights(eta, c, u):
 
 
 def _six_vertex_array(eta, c, us):
-    """`_six_vertex_weights` at every u of the 1-D array `us`, as
-    (len(us), 6) flat entries with the same bits.  The guards take the
-    same decisions (np.hypot is the scalar abs, which np.abs of an array
-    is not to the last bit), and the scalar evaluation at the first point
-    refused raises the error."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """`_six_vertex_weights` at every u of the 1-D array `us`: (entries,
+    refused), the (len(us), 6) flat entries with the same bits and where
+    the scalar evaluation raises.  The guards take the same decisions
+    (np.hypot is the scalar abs, which np.abs of an array is not to the
+    last bit)."""
+    with np.errstate(all="ignore"):  # refused points compute garbage
         a = np.sinh(us + eta)
         b = np.sinh(us)
         refused = ~(np.isfinite(a) & np.isfinite(b))
         refused |= np.hypot(a.real, a.imag) < 1e-12 * np.maximum(
             np.maximum(1.0, np.hypot(b.real, b.imag)), abs(c))
-    if refused.any():
-        _six_vertex_weights(eta, c, complex(us[refused.argmax()]))
-    out = np.empty((len(us), 6), dtype=complex)
-    out[:, 0::5] = 1.0
-    out[:, 1::3] = (b / a)[:, None]
-    out[:, 2:4] = (c / a)[:, None]
-    return out
+        out = np.empty((len(us), 6), dtype=complex)
+        out[:, 0::5] = 1.0
+        out[:, 1::3] = (b / a)[:, None]
+        out[:, 2:4] = (c / a)[:, None]
+    return out, refused
 
 
 def six_vertex(eta=0.4375):
@@ -487,40 +496,49 @@ class RationalKernel:
         return WeightMatrix(self.N, self._entries(u, flip, pw))
 
     def evaluate_array(self, us):
-        """`evaluate`'s flat entries at every u of the 1-D array `us`, as a
-        (len(us), K) array with the same bits.  np.exp and the powers
-        vectorize bit for bit, and each Laurent branch takes one stacked
-        matrix product.  On the flipped branch the coefficients are the
-        reversed view that `_entries` reads: numpy multiplies that strided
-        view by the loop of one matrix-vector product, where a contiguous
-        reversed copy would go through BLAS and round differently.  The
-        pole guard's first test (np.hypot is the scalar abs) runs on the
-        array; `_entries` decides at the points it flags, in index order."""
+        """`evaluate` at every u of the 1-D array `us`: (entries, refused),
+        the (len(us), K) flat entries with the same bits and where
+        `evaluate` raises.  np.exp and the powers vectorize bit for bit,
+        and each Laurent branch takes one stacked matrix product.  On the
+        flipped branch the coefficients are the reversed view that
+        `_entries` reads: numpy multiplies that strided view by the loop of
+        one matrix-vector product, where a contiguous reversed copy would
+        go through BLAS and round differently.  The pole guard's first test
+        (np.hypot is the scalar abs) runs on the array, and `_is_pole`
+        decides at the points it flags."""
         flip = us.real > 0
         pws = np.exp(np.where(flip, -us, us))[:, None] ** self._powers
         out = np.empty((len(us), len(self._coef)), dtype=complex)
         for sel, coef in ((~flip, self._coef), (flip, self._coef[:, ::-1])):
             out[sel] = (coef[None] @ pws[sel][:, :, None])[:, :, 0]
         q = out[:, 0].copy()
-        for s in np.flatnonzero(np.hypot(q.real, q.imag)
-                                < 2e-9 * self._q_size):
-            self._entries(us[s], flip[s], pws[s])  # raises at a pole
-        out /= q[:, None]
+        refused = np.hypot(q.real, q.imag) < 2e-9 * self._q_size
+        for s in np.flatnonzero(refused):
+            refused[s] = self._is_pole(q[s], flip[s], pws[s])
+        with np.errstate(all="ignore"):  # a pole's Q may be 0
+            out /= q[:, None]
         out[:, 0] = 1.0
-        return out
+        return out, refused
+
+    def _is_pole(self, q, flip, pw):
+        """Whether u is a pole, given Q = q formed from pw, the powers
+        0..2d of t = e^-u (`flip`) or e^u.  u is a pole where Q's terms
+        q_j t^j cancel: |Q| is below 1e-9 of the sum of their moduli.  As
+        |t| <= 1 that sum is at most sum |q_j| (2e-9 leaves room for
+        rounding), so it is formed only where |Q| is that small, and
+        scalar by scalar, so that the scalar and the array evaluation take
+        the same decision."""
+        coef = self._coef[0, ::-1] if flip else self._coef[0]
+        return abs(q) < 2e-9 * self._q_size and abs(q) < 1e-9 * sum(
+            abs(qj * tj) for qj, tj in zip(coef, pw))
 
     def _entries(self, u, flip, pw):
         """The entries at u from pw, the powers 0..2d of t = e^-u (`flip`)
-        or e^u.  u is a pole where Q's terms q_j t^j cancel: |Q| is below
-        1e-9 of the sum of their moduli.  As |t| <= 1 that sum is at most
-        sum |q_j| (2e-9 leaves room for rounding), so it is formed only
-        where |Q| is that small, and scalar by scalar, so that the scalar
-        and the array evaluation take the same decision."""
+        or e^u; ParameterDomain at a pole (`_is_pole`)."""
         coef = self._coef[:, ::-1] if flip else self._coef
         vals = coef @ pw
         q = vals[0]
-        if abs(q) < 2e-9 * self._q_size and abs(q) < 1e-9 * sum(
-                abs(qj * tj) for qj, tj in zip(coef[0], pw)):
+        if self._is_pole(q, flip, pw):
             raise ParameterDomain(f"higher-spin weights have a pole at "
                                   f"u = {complex(u)}: Q(e^u) = 0")
         vals /= q
@@ -536,7 +554,8 @@ class RationalKernel:
         with L the Lax operator.  At generic u its ice solutions are the
         multiples of R(u), and it holds at every x, so one x checks the
         weights.  x = x0 - Re(u) / 2 keeps the two Lax factors of one
-        size: unshifted, L13 dwarfs L12 at large |Re u|.
+        size: unshifted, L13 dwarfs L12 at large |Re u|.  At a pole it
+        raises `evaluate`'s ParameterDomain.
         """
         us = np.asarray(us, dtype=complex)
         N, dim = self.N, 2 * self.N * self.N
@@ -545,7 +564,10 @@ class RationalKernel:
         lax12, lax13 = lax.reshape(len(us), 2, 2, N, 2, N).swapaxes(0, 1)
         dense = np.zeros((len(us), N * N, N * N), dtype=complex)
         lay = _layout(N)
-        dense[:, lay.rows, lay.cols] = self.evaluate_array(us)
+        entries, refused = self.evaluate_array(us)
+        if refused.any():
+            self.evaluate(us[refused.argmax()])  # raises at the first pole
+        dense[:, lay.rows, lay.cols] = entries
         # products with the identity's exact ones and zeros, as np.kron
         # forms them: L12 = L (x) I, L13 on spaces 1 and 3, I2 (x) R(u)
         eye = np.eye(N)

@@ -9,9 +9,9 @@ from u1bethe import chain as C
 from u1bethe import verify as V
 from u1bethe import weights as W
 from u1bethe.errors import (EmptySector, IndexOutOfRange, NoConvergence,
-                            Singularity)
+                            ParameterDomain, Singularity)
 
-from conftest import points, rng_for
+from conftest import ETA, points, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +190,39 @@ def test_bae_residual_index_out_of_range(ctx6):
     for j in (0, 3):
         with pytest.raises(IndexOutOfRange):
             B.bae_residual(ctx6, roots, j)
+
+
+@pytest.mark.parametrize("kind", ["six", "spin1", "custom"])
+def test_batched_residual_takes_one_array_call(kind, monkeypatch):
+    # refused points (a root at a pole of a site or of a pair), a nan root
+    # and coincident roots in one batch: one array evaluation marks them
+    # all, and every row is still bae_residual's, to the bit
+    model = {"six": lambda: W.six_vertex(ETA),
+             "spin1": lambda: W.higher_spin_xxz(3, ETA),
+             "custom": lambda: W.custom_model(
+                 3, W.higher_spin_xxz(3, ETA).eval_r)}[kind]()
+    ctx = C.ChainContext(model, 3, [0.0, 0.05 + 0.02j, -0.1])
+    calls = []
+    real = model.array_fn
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "array_fn", counted)
+    x = np.array([[0.41 - 0.23j, -0.37 + 0.52j], [-ETA, 0.2],
+                  [0.1 + 0.2j, complex("nan")], [0.25, 0.25 - ETA],
+                  [0.1 + 0.2j, 0.1 + 0.2j], [-0.2 + 0.1j, 0.5 - 0.3j]])
+    got, singular = B.bae_residuals(ctx, x)
+    assert len(calls) == 1
+    assert singular.tolist() == [False, True, True, True, True, False]
+    assert np.isnan(got[singular]).all()
+    for s in np.flatnonzero(~singular):
+        assert got[s].tolist() == [B.bae_residual(ctx, tuple(x[s]), j)
+                                   for j in (1, 2)]
+    for s in np.flatnonzero(singular):
+        with pytest.raises((Singularity, ParameterDomain)):
+            B.bae_residual(ctx, tuple(x[s]), 1)
 
 
 def test_solver_rejects_table_models(six):

@@ -113,7 +113,7 @@ def test_sector_bookkeeping_exact(fixture, request):
             for b in range(1, ctx.N + 1):
                 op = C.monodromy_element(ctx, lam, a, b)
                 out = op.apply(v)
-                target = n + op.sector_shift
+                target = n + b - a
                 outside = np.ones(ctx.dim, dtype=bool)
                 if 0 <= target <= (ctx.N - 1) * ctx.L:
                     outside[C.sector_indices(ctx.N, ctx.L, target)] = False

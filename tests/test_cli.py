@@ -52,6 +52,17 @@ def test_check_r_pass(six_cfg, tmp_path):
     assert '"check": "yang_baxter"' in text
 
 
+def test_report_escapes_control_characters(tmp_path):
+    # the parser keeps a tab inside a config value; the report echoes it
+    cfg = write(tmp_path / "tab.cfg", "model = six_vertex\neta = 0.4375\n"
+                "L = 3\ninhomogeneities = [0,\t0.1, 0.2]\n")
+    out = tmp_path / "r.json"
+    assert run(["check-r", "--config", cfg, "--samples", "5",
+                "--out", str(out), "--quiet"]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["config"]["inhomogeneities"] == "[0,\t0.1, 0.2]"
+
+
 @pytest.mark.parametrize("cfg_name, args, warmup", [
     ("six_cfg", ["check-r", "--samples", "10", "--seed", "7"], None),
     ("spin1_cfg", ["rules", "--seed", "3"], None),

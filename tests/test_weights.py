@@ -82,13 +82,27 @@ def _refusal(evaluate, *args):
     return str(err.value)
 
 
+def _mask_is_eval_r(model, lams, mus):
+    """array_fn's mask is where eval_r raises, its refused rows are nan and
+    its other rows eval_r's values, to the bit; returns the mask."""
+    values, refused = model.array_fn(lams, mus)
+    for s, (lam, mu) in enumerate(zip(lams, mus)):
+        try:
+            want = model.eval_r(lam, mu).values
+        except (ParameterDomain, UnknownGridPoint):
+            assert refused[s] and np.isnan(values[s]).all(), s
+        else:
+            assert not refused[s] and values[s].tobytes() == want.tobytes(), s
+    return refused
+
+
 def _refused_alike(model, u):
-    """eval_r at u = lam - mu and the array evaluator, at u between two
-    good points, raise the same ParameterDomain."""
-    scalar = _refusal(model.eval_r, u, 0.0)
+    """Between two good points, the array evaluator marks u = lam - mu and
+    nothing else; returns the ParameterDomain that eval_r raises at u."""
     us = np.array([0.11 + 0.07j, u, 0.23 - 0.31j])
-    assert _refusal(model.array_fn, us) == scalar
-    return scalar
+    assert _mask_is_eval_r(model, us, np.zeros(3)).tolist() == [
+        False, True, False]
+    return _refusal(model.eval_r, u, 0.0)
 
 
 def test_six_vertex_pole_raises(six):
@@ -101,15 +115,55 @@ def test_six_vertex_pole_raises(six):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_array_evaluator_is_bitwise_eval_r(N):
-    # the array evaluator behind vacuum weights against eval_r, to the
-    # bit, on both signs of Re u, out to |Re u| = 8
+    # the array evaluator behind the Newton residual against eval_r, to
+    # the bit, on both signs of Re u, out to |Re u| = 8
     rng = rng_for("array", N)
     re = rng.uniform(0, 8, 200) * np.where(np.arange(200) % 2, 1, -1)
     us = re + 1j * rng.uniform(-np.pi, np.pi, 200)
     for eta in (ETA, 1.5, 0.3 + 0.2j):
         model = W.higher_spin_xxz(N, eta)
         want = np.array([model.eval_r(complex(u), 0.0).values for u in us])
-        assert model.array_fn(us).tobytes() == want.tobytes()
+        values, refused = model.array_fn(us)
+        assert values.tobytes() == want.tobytes()
+        assert not refused.any()
+
+
+def test_array_mask_of_a_refusing_callback(six):
+    # a custom model evaluates point by point; its callback's refusals
+    # are marked, and its other points keep their bits
+    def weights(lam, mu):
+        if lam.real > 0.5:
+            raise ParameterDomain(f"no weights at lam = {lam}")
+        return six.eval_r(lam, mu)
+
+    model = W.custom_model(2, weights)
+    lams = np.array([0.1, 0.7 + 0.2j, -0.3j, 0.9])
+    refused = _mask_is_eval_r(model, lams, np.full(4, 0.05 + 0.02j))
+    assert refused.tolist() == [False, True, False, True]
+
+
+def test_array_mask_of_a_table_model(six):
+    grid = [(0.1 + 0.2j, 0j), (-0.3 + 0j, 0.05 + 0.02j)]
+    model = W.table_model([(lam, mu, six.eval_r(lam, mu)) for lam, mu in grid])
+    lams = np.array([0.1 + 0.2j, 0.2, -0.3])
+    mus = np.array([0, 0, 0.05 + 0.02j])
+    assert _mask_is_eval_r(model, lams, mus).tolist() == [False, True, False]
+    with pytest.raises(UnknownGridPoint):
+        model.eval_r(0.2, 0)
+
+
+def test_array_mask_of_non_finite_points(six, spin1):
+    # a lam or mu that is not finite is refused on every route, with no
+    # warning (the suite turns those into errors)
+    nan, inf = complex("nan"), float("inf")
+    lams = np.array([0.1, nan, inf, 0.2, inf, complex(0.3, inf), -inf])
+    mus = np.array([0, 0, 0, nan, inf, 0, 0.05 + 0.02j])
+    table = W.table_model([(0.1 + 0j, 0j, six.eval_r(0.1, 0))])
+    custom = W.custom_model(3, spin1.eval_r)
+    for model in (six, spin1, table, custom):
+        assert _mask_is_eval_r(model, lams, mus).tolist() == [False] + [
+            True] * 6, model
+        assert "finite" in _refusal(model.eval_r, nan, 0)
 
 
 def test_higher_spin_reduces_to_six_vertex(six):
@@ -401,12 +455,14 @@ def test_pole_of_q_raises():
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
-def test_array_of_two_poles_names_the_first(N):
+def test_array_of_two_poles_marks_both(N):
     # the poles u = ETA and 2 ETA of eta = -ETA (Re u > 0), between good
-    # points: the array evaluator raises eval_r's error at the first
+    # points: the array evaluator marks both and nothing else
     model = W.higher_spin_xxz(N, -ETA)
     us = np.array([0.11 + 0.07j, ETA, 0.23 - 0.31j, 2 * ETA, -0.4])
-    assert _refusal(model.array_fn, us) == _refusal(model.eval_r, ETA, 0.0)
+    refused = _mask_is_eval_r(model, us, np.zeros(5))
+    assert refused.tolist() == [False, True, False, True, False]
+    assert "pole" in _refusal(model.eval_r, 2 * ETA, 0.0)
 
 
 def _spectral_frame(r_dense, N, u):
