@@ -18,6 +18,7 @@ the oracle they are tested against, so each seed ends where a Newton
 loop of its own would end, with the same outcome.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -147,6 +148,22 @@ def bae_residual(ctx, roots, j):
     return val - 1.0
 
 
+@functools.cache
+def _residual_layout(N, n):
+    """What `bae_residuals` indexes by for n roots on an N-state chain: the
+    storage slots of w_1 and w_2, the ordered pairs (i, j), i != j, as
+    their `first` and `second` roots, the pair (j, i) of each pair (`rev`)
+    and, per t, the pair of the t-th i != j, ascending, at each j."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    first = np.array([i for i, _ in pairs], dtype=np.intp)
+    second = np.array([j for _, j in pairs], dtype=np.intp)
+    rev = np.array([pairs.index((j, i)) for i, j in pairs], dtype=np.intp)
+    columns = [np.array([pairs.index((t + (t >= j), j)) for j in range(n)],
+                        dtype=np.intp) for t in range(n - 1)]
+    slots = [ice_slot(N, 1, 1, 1, 1), ice_slot(N, 2, 1, 2, 1)]
+    return slots, first, second, rev, columns
+
+
 def bae_residuals(ctx, roots):
     """`bae_residual` at every equation of each root set in the rows of the
     (P, n) array `roots`, from one `array_fn` call: R at each root against
@@ -160,46 +177,53 @@ def bae_residuals(ctx, roots):
     ones do (`amplitudes.mul`), and site products run in site order.
     """
     x = np.array(roots, dtype=complex)
-    model, N, L = ctx.model, ctx.N, ctx.L
+    model, L = ctx.model, ctx.L
     count, n = x.shape
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    first = [i for i, _ in pairs]
-    second = [j for _, j in pairs]
+    slots, first, second, rev, columns = _residual_layout(ctx.N, n)
+    npairs = len(first)
     sites = count * n * L
-    w, refused = model.array_fn(
-        np.concatenate([np.repeat(x.ravel(), L), x[:, first].ravel()]),
-        np.concatenate([np.tile(np.array(ctx.inhomogeneities), count * n),
-                        x[:, second].ravel()]))
+    lams = np.empty(sites + count * npairs, dtype=complex)
+    mus = np.empty_like(lams)
+    lams[:sites].reshape(count * n, L)[:] = x.reshape(-1, 1)
+    mus[:sites].reshape(count * n, L)[:] = np.broadcast_to(
+        np.array(ctx.inhomogeneities), (count * n, L))
+    lams[sites:].reshape(count, npairs)[:] = x[:, first]
+    mus[sites:].reshape(count, npairs)[:] = x[:, second]
+    w, refused = model.array_fn(lams, mus)
     singular = (refused[:sites].reshape(count, n * L).any(axis=1)
-                | refused[sites:].reshape(count, len(pairs)).any(axis=1))
+                | refused[sites:].reshape(count, npairs).any(axis=1))
     with np.errstate(all="ignore"):  # singular rows compute garbage
         # w_1 and w_2 of each root as `chain.vacuum_weight`'s math.prod
-        # forms them, site by site in real and imaginary parts:
-        # `amplitudes.mul` gives the same bits but allocates its output at
-        # every site, slower
-        vac = w[:sites].reshape(count, n, L, -1)[
-            ..., [ice_slot(N, 1, 1, 1, 1), ice_slot(N, 2, 1, 2, 1)]]
-        vac = np.moveaxis(vac, 2, 0).copy()
-        re, im = 1.0, 0.0
-        for site in vac:
-            re, im = (re * site.real - im * site.imag,
-                      re * site.imag + im * site.real)
-        weights = re.astype(complex)
-        weights.imag = im
+        # forms them: from (1, 0), site by site in real and imaginary
+        # parts, into buffers made once (`amplitudes.mul` gives the same
+        # bits but allocates its output at every site, slower)
+        vac = w[:sites].reshape(count * n, L, -1)[:, :, slots]
+        vac = vac.transpose(1, 0, 2)  # site, root, (w_1, w_2)
+        site_re = np.ascontiguousarray(vac.real)
+        site_im = np.ascontiguousarray(vac.imag)
+        re, im = np.ones(site_re.shape[1:]), np.zeros(site_re.shape[1:])
+        re_next, a, b = np.empty_like(re), np.empty_like(re), np.empty_like(re)
+        for sr, si in zip(site_re, site_im):
+            np.subtract(np.multiply(re, sr, out=a), np.multiply(im, si, out=b),
+                        out=re_next)
+            np.add(np.multiply(re, si, out=a), np.multiply(im, sr, out=b),
+                   out=im)
+            re, re_next = re_next, re
+        weights = np.empty(re.shape, dtype=complex)
+        weights.real, weights.imag = re, im
+        weights = weights.reshape(count, n, 2)
         w2 = weights[..., 1]
         singular |= (w2 == 0).any(axis=1)
         val = weights[..., 0] / w2
-        if pairs:
-            pw = w[sites:].reshape(count, len(pairs), -1)
-            rev = [pairs.index((j, i)) for i, j in pairs]
+        if npairs:
+            pw = w[sites:].reshape(count, npairs, -1)
             # pair (i, j): scattering(l_i, l_j) / theta(l_j, l_i)
             scat, bad_s = amp.scattering_rows(model, pw, pw[:, rev])
             th, bad_t = amp.theta_rows(model, pw)
             factor = scat / th[:, rev]
             singular |= (bad_s | bad_t).any(axis=1)
-            for t in range(n - 1):  # the t-th i != j, ascending, at each j
-                val = amp.mul(val, factor[:, [pairs.index((t + (t >= j), j))
-                                              for j in range(n)]])
+            for cols in columns:
+                val = amp.mul(val, factor[:, cols])
     return np.where(singular[:, None], complex("nan"), val - 1.0), singular
 
 
@@ -233,37 +257,37 @@ def _lockstep_newton(ctx, seeds, tol, max_iter):
     outcomes = ["max_iter"] * count
     best = np.full(count, np.inf)
     active = np.arange(count)
+    diag = np.arange(n)
     for _ in range(max_iter):
         if not len(active):
             break
         xa = x[active]
         h = 1e-7 * (1.0 + np.hypot(xa.real, xa.imag))
         pts = np.repeat(xa[:, None], n + 1, axis=1)
-        for k in range(n):
-            pts[:, k + 1, k] += h[:, k]
+        pts[:, diag + 1, diag] += h
         res, singular = bae_residuals(ctx, pts.reshape(-1, n))
         res = res.reshape(len(active), n + 1, n)
         singular = singular.reshape(len(active), n + 1)
         r = res[:, 0]
-        rn = np.max(np.abs(r), axis=1)
+        rn = np.abs(r).max(axis=1)
         ok = ~singular[:, 0]
         seen = best[active[ok]]
         best[active[ok]] = np.where(rn[ok] < seen, rn[ok], seen)  # min()
         converged = ok & (rn < tol)
         go = ok & ~converged & ~singular[:, 1:].any(axis=1)
-        for s in np.flatnonzero(~go):
+        for s in (~go).nonzero()[0]:
             outcomes[active[s]] = ("converged" if converged[s]
                                    else "singular_residual")
         jac = ((res[go, 1:] - r[go, None]) / h[go, :, None]).transpose(0, 2, 1)
         step = _newton_steps(jac, -r[go])
-        smax = np.max(np.abs(step), axis=1)
+        smax = np.abs(step).max(axis=1)
         big = smax > 1.0
         step[big] *= (1.0 / smax[big])[:, None]
         xn = xa[go] + step
         finite = np.isfinite(smax)
-        inside = finite & ~(np.max(np.abs(xn), axis=1) > 8.0)
+        inside = finite & ~(np.abs(xn).max(axis=1) > 8.0)
         moved = active[go]
-        for s in np.flatnonzero(~inside):
+        for s in (~inside).nonzero()[0]:
             outcomes[moved[s]] = ("left_region" if finite[s]
                                   else "singular_jacobian")
         x[moved[inside]] = xn[inside]
@@ -376,10 +400,12 @@ def solve_sector(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50,
 
     The Newton iteration runs all seeds in lockstep (`_lockstep_newton`);
     then each converged seed, in seed order, is kept as a new state,
-    dropped as a duplicate (`same_state` of their signatures), or dropped
-    as unphysical: coincident roots, or a set that fails to build an
+    dropped as a duplicate (its sorted roots pair off with a found
+    state's, or else `same_state` of their signatures), or dropped as
+    unphysical: coincident roots, or a set that fails to build an
     eigenvector (vanishing-vector runaways standing in for roots at
-    infinity).  `seeds` must hold root sets of n roots each.
+    infinity); `_admit` says in which order.  `seeds` must hold root sets
+    of n roots each.
     """
     if n_seeds < 1 or max_iter < 1:
         raise InvalidOption("n_seeds and max_iter must be >= 1")
@@ -410,12 +436,29 @@ def solve_sector(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50,
     return SectorSolve(found, counts, float(min(failed, default=np.inf)))
 
 
+def _same_roots(a, b):
+    """Whether two sorted root sets pair off root by root, in order, within
+    `amplitudes.MIN_ROOT_SEPARATION`, the distance of one rapidity."""
+    return all(abs(x - y) < amp.MIN_ROOT_SEPARATION for x, y in zip(a, b))
+
+
 def _admit(ctx, x, found, signatures):
-    """The outcome of converged roots `x`; a new state joins `found`."""
+    """The outcome of converged roots `x`; a new state joins `found`.
+
+    The roots are folded into the period strip and sorted.  A set that
+    pairs off root by root with a state in `found` (`_same_roots`) is a
+    duplicate, without a signature.  Two sets of one state whose sort
+    orders differ (equal real parts up to rounding) do not pair off: they
+    fall through to the signature, as does every other set.  A set whose
+    signature is `same_state` as a found state's is a duplicate too; one
+    that fails `_is_physical` is unphysical; any other joins `found`.
+    """
     try:
         rs = RootSet(_fold_period(x, ctx.model.rapidity_period)).sorted()
     except Singularity:
         return "unphysical"  # coincident roots: not an admissible state
+    if any(_same_roots(rs.roots, other.roots) for other in found):
+        return "duplicate"
     sig = state_signature(ctx, rs)
     if any(same_state(sig, other) for other in signatures):
         return "duplicate"

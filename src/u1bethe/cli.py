@@ -471,6 +471,18 @@ def _check_output_path(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
+def _outcome(report):
+    """The figure of the summary line: the worst residual or, where the
+    report holds none, the note and best residual of `solve`'s result
+    without roots."""
+    summary = report["residual_summary"]
+    if summary["count"]:
+        return f"max residual {summary['max']:.3e}"
+    return "; ".join(["no residuals"] + [
+        f"{r['note']}, best residual {r['best_residual']:.3e}"
+        for r in report["results"] if "best_residual" in r])
+
+
 def _run(opts):
     _check_options(opts)
     # checked before the run, so that an unusable path costs no work
@@ -505,8 +517,7 @@ def _run(opts):
     if not opts.quiet:
         if opts.out:
             status = "pass" if passed else "FAIL"
-            print(f"{opts.command}: {status} "
-                  f"(max residual {report['residual_summary']['max']:.3e})")
+            print(f"{opts.command}: {status} ({_outcome(report)})")
         else:
             sys.stdout.write(text)
     return 0 if passed else 1

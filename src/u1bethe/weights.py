@@ -554,29 +554,40 @@ class RationalKernel:
         with L the Lax operator.  At generic u its ice solutions are the
         multiples of R(u), and it holds at every x, so one x checks the
         weights.  x = x0 - Re(u) / 2 keeps the two Lax factors of one
-        size: unshifted, L13 dwarfs L12 at large |Re u|.  At a pole it
-        raises `evaluate`'s ParameterDomain.
+        size: unshifted, L13 dwarfs L12 at large |Re u|.  It raises
+        ParameterDomain at the first u that is not finite, as `eval_r`
+        does, then at the first pole, as `evaluate` does, then at the
+        first u where the relation's terms overflow (|Re u| > 700 or so).
         """
         us = np.asarray(us, dtype=complex)
+        bad = ~np.isfinite(us)
+        if bad.any():
+            _finite(us[bad.argmax()])  # raises at the first, as eval_r does
         N, dim = self.N, 2 * self.N * self.N
         x = _RELATION_OFFSET - us.real / 2
-        lax = _fundamental_lax(N, self.eta, np.stack([x, x + us], axis=-1))
-        lax12, lax13 = lax.reshape(len(us), 2, 2, N, 2, N).swapaxes(0, 1)
         dense = np.zeros((len(us), N * N, N * N), dtype=complex)
         lay = _layout(N)
-        entries, refused = self.evaluate_array(us)
-        if refused.any():
-            self.evaluate(us[refused.argmax()])  # raises at the first pole
-        dense[:, lay.rows, lay.cols] = entries
-        # products with the identity's exact ones and zeros, as np.kron
-        # forms them: L12 = L (x) I, L13 on spaces 1 and 3, I2 (x) R(u)
-        eye = np.eye(N)
-        l12 = lax12[:, :, :, None, :, :, None] * eye[:, None, None, :]
-        l13 = lax13[:, :, None, :, :, None, :] * eye[:, None, None, :, None]
-        r = np.eye(2)[:, None, :, None] * dense[:, None, :, None, :]
-        # a product per point: stacked ones run slower from N = 7 on
-        return [relative_residual(a @ b @ c, c @ b @ a) for a, b, c in zip(
-            *(m.reshape(-1, dim, dim) for m in (l12, l13, r)))]
+        with np.errstate(all="ignore"):  # an overflow is refused below
+            lax = _fundamental_lax(N, self.eta, np.stack([x, x + us], -1))
+            lax12, lax13 = lax.reshape(len(us), 2, 2, N, 2, N).swapaxes(0, 1)
+            entries, refused = self.evaluate_array(us)
+            if refused.any():
+                self.evaluate(us[refused.argmax()])  # raises at a pole
+            dense[:, lay.rows, lay.cols] = entries
+            # products with the identity's exact ones and zeros, as np.kron
+            # forms them: L12 = L (x) I, L13 on spaces 1 and 3, I2 (x) R(u)
+            eye = np.eye(N)
+            l12 = lax12[:, :, :, None, :, :, None] * eye[:, None, None, :]
+            l13 = lax13[:, :, None, :, :, None, :] * eye[:, None, None, :, None]
+            r = np.eye(2)[:, None, :, None] * dense[:, None, :, None, :]
+            # a product per point: stacked ones run slower from N = 7 on
+            out = [relative_residual(a @ b @ c, c @ b @ a) for a, b, c in zip(
+                *(m.reshape(-1, dim, dim) for m in (l12, l13, r)))]
+        for u, res in zip(us, out):  # an overflow leaves inf or nan
+            if not np.isfinite(res):
+                raise ParameterDomain(f"the Lax relation of the higher-spin "
+                                      f"weights overflows at u = {u}")
+        return out
 
 
 # the largest N of higher_spin_xxz: the fusion's memory grows like N^5

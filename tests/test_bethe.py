@@ -261,6 +261,89 @@ def test_solver_dedup_ignores_root_order(ctx3h):
     assert not B.same_state(sig, B.state_signature(ctx3h, (x, x + 0.1)))
 
 
+def _admit_by_signature(ctx, x, found, signatures):
+    """Admission by signature alone, the oracle of `_admit`: fold and sort,
+    then `same_state` of the signatures, then `_is_physical`."""
+    try:
+        rs = B.RootSet(B._fold_period(x, ctx.model.rapidity_period)).sorted()
+    except Singularity:
+        return "unphysical"
+    sig = B.state_signature(ctx, rs)
+    if any(B.same_state(sig, other) for other in signatures):
+        return "duplicate"
+    if not B._is_physical(ctx, rs):
+        return "unphysical"
+    found.append(rs)
+    signatures.append(sig)
+    return "converged"
+
+
+_ADMIT_CASES = {
+    "six-L6-n1": ("six", 6, 1), "six-L6-n2": ("six", 6, 2),
+    "six-L6-n3": ("six", 6, 3), "spin1-L3-n1": (3, 3, 1),
+    "spin1-L3-n2": (3, 3, 2), "spin32-L3-n2": (4, 3, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_ADMIT_CASES))
+def test_admission_by_root_set_keeps_every_outcome(case, monkeypatch):
+    family, L, n = _ADMIT_CASES[case]
+    if family == "six":
+        ctx = C.ChainContext(W.six_vertex(ETA), L,
+                             [0.05 * k + 0.02j * k for k in range(L)])
+    else:
+        ctx = C.ChainContext(W.higher_spin_xxz(family, ETA), L,
+                             (0.0, 0.05 + 0.02j, -0.1))
+    for seed in (1, 42):
+        got = B.solve_sector(ctx, n, n_seeds=50, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(B, "_admit", _admit_by_signature)
+            want = B.solve_sector(ctx, n, n_seeds=50, seed=seed)
+        assert got.outcomes == want.outcomes, seed
+        assert got.states == want.states, seed
+        assert got.outcomes["duplicate"] > 0, seed
+
+
+def test_duplicates_skip_the_signature(monkeypatch):
+    ctx = C.ChainContext(W.six_vertex(ETA), 6,
+                         [0.05 * k + 0.02j * k for k in range(6)])
+    calls = []
+    signature = B.state_signature
+
+    def counted(*args):
+        calls.append(args)
+        return signature(*args)
+
+    monkeypatch.setattr(B, "state_signature", counted)
+    got = B.solve_sector(ctx, 1, n_seeds=50)
+    converged = sum(got.outcomes[k]
+                    for k in ("converged", "duplicate", "unphysical"))
+    assert got.outcomes["duplicate"] > 0
+    assert len(calls) < converged
+
+
+def test_root_set_dedup_survives_a_nan_signature(ctx6, monkeypatch):
+    # with the eigenvalue refused at one filter offset every signature
+    # holds a nan, which `same_state` never matches: the three seeds of
+    # test_solver_dedup still give one state, by their root sets
+    seed_root = B.solve_bae(ctx6, 1, n_seeds=40)[0].roots[0]
+    refused = ctx6.model.regular_point + B._FILTER_OFFSETS[1]
+    eigenvalue = B.eigenvalue
+
+    def patched(ctx, lam, roots):
+        if lam == refused:
+            raise Singularity("refused for the test")
+        return eigenvalue(ctx, lam, roots)
+
+    monkeypatch.setattr(B, "eigenvalue", patched)
+    assert np.isnan(B.state_signature(ctx6, (seed_root,))).any()
+    got = B.solve_sector(ctx6, 1, seeds=[(seed_root + 0.01,),
+                                         (seed_root - 0.01,),
+                                         (seed_root + 0.005j,)])
+    assert len(got.states) == 1
+    assert got.outcomes["duplicate"] == 2
+
+
 def test_signature_nan_never_matches(ctx3h):
     sig = B.state_signature(ctx3h, (0.2 + 0.1j,))
     bad = sig.copy()

@@ -245,6 +245,18 @@ def test_solve_without_roots_fails(six_cfg, tmp_path):
     assert '"best_residual"' in text and '"pass": false' in text
 
 
+def test_summary_line_without_residuals(six_cfg, tmp_path, capsys):
+    # with no state found no residual is checked: the line gives the note
+    # and best residual of the report, not the empty summary's max of 0
+    out = tmp_path / "s.json"
+    assert run(["solve", "--config", six_cfg, "--seeds", "1",
+                "--max-iter", "1", "--out", str(out)]) == 1
+    result, = json.loads(out.read_text())["results"]
+    assert capsys.readouterr().out == (
+        f"solve: FAIL (no residuals; no roots found, best residual "
+        f"{result['best_residual']:.3e})\n")
+
+
 def test_chain_size_cap_exits_2(tmp_path, capsys):
     # check-r never touches the chain, so no commit allocates 2^40 states
     cfg = write(tmp_path / "huge.cfg",

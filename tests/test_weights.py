@@ -330,6 +330,19 @@ def test_relation_residuals_are_bitwise_per_point(N, eta):
     assert kernel.relation_residuals([]) == []
 
 
+@pytest.mark.parametrize("u", [complex("inf"), 1e308, complex("nan"),
+                               720.0, -720.0 + 0.3j],
+                         ids=["inf", "1e308", "nan", "720", "-720"])
+def test_relation_refuses_u_out_of_range(u):
+    # refused before any warning: a u that is not finite, as eval_r
+    # refuses it, and one where the Lax factors or their products overflow
+    kernel = W.RationalKernel(3, ETA)
+    with pytest.raises(ParameterDomain, match="finite" if not np.isfinite(u)
+                       else "overflow"):
+        kernel.relation_residuals([0.3 + 0.1j, u])
+    assert kernel.relation_residuals([700.0])[0] <= 1e-13
+
+
 def test_relation_holds_where_the_solve_refuses():
     # a pair that check-r samples on N = 6, eta = 1.5 (default options),
     # where the intertwiner solve finds no one-dimensional nullspace
