@@ -53,6 +53,9 @@ def _anisotropy(eta, N=2):
     [k]_q = sinh(k eta) / sinh(eta) of k = 1..N-1 nonzero."""
     eta = _finite(eta, "eta")
     for k in range(1, N):
+        if not cmath.isfinite(k * eta):
+            raise ParameterDomain(
+                f"anisotropy eta = {eta!r} is too large: {k} eta overflows")
         if abs(k * eta - 1j * np.pi * round(k * eta.imag / np.pi)) < 1e-12:
             zero = ("sinh(eta) = 0" if k == 1 else
                     f"[{k}]_q = sinh({k} eta) / sinh(eta) = 0 at N = {N}")

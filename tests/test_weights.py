@@ -532,6 +532,13 @@ def test_degenerate_anisotropy_rejected(family, eta):
         family(eta)
 
 
+def test_anisotropy_with_an_overflowing_multiple_rejected():
+    # sinh(eta) is finite, but 2 eta is not, so [2]_q cannot be formed
+    # (a config eta that the front-end fuzz test found)
+    with pytest.raises(ParameterDomain, match="too large"):
+        W.higher_spin_xxz(3, 1 + 8.98846567431158e307j)
+
+
 def test_cache_stays_within_byte_budget():
     N = 4
     model = W.custom_model(N, lambda lam, mu: {(1, 1, 1, 1): lam - mu})
