@@ -20,14 +20,16 @@ __all__ = [
     "StateVector", "lax", "monodromy_element", "transfer_matrix",
     "reference_state", "vacuum_weight", "spin_z_total", "sector_indices",
     "transfer_block", "dense_sector_dimension", "monodromy_columns",
+    "SplitMonodromy",
 ]
 
 # Largest dimension of a dense matrix that may be requested: the full N^L
 # form of an operator, or one sector block of T(lam) (`transfer_block`).
 DENSE_LIMIT = 4096
 
-# Complex numbers (16 B each) per column chunk of `transfer_block`'s and
-# `to_matrix`'s work arrays: about 1 MiB, whatever the chain length.
+# Complex numbers (16 B each) per chunk of the work arrays of `to_matrix`,
+# of the half-chain monodromies and of a sector block's rows: about 1 MiB,
+# whatever the chain length.
 _BLOCK_CELLS = 2 ** 16
 
 
@@ -315,28 +317,92 @@ def monodromy_columns(ctx, lam, b, vecs):
     return out
 
 
+def _half_monodromy(model, lam, mus, sums):
+    """The monodromy of the chain over the sites of `mus` (possibly none),
+    restricted to its configurations whose digit sum is in `sums`:
+    (configs, blocks), with configs those configurations' indices in
+    ascending order and blocks[a - 1, b - 1] the (m, m) matrix of T_{a,b}
+    on them.  The columns go through `monodromy_columns` in chunks of
+    about `_BLOCK_CELLS` work cells, as in `to_matrix`."""
+    N = model.N
+    configs = np.flatnonzero(np.isin(_digit_sums(N, len(mus)), sums))
+    if not mus:  # no sites: T_{a,b} = delta_ab on the one empty configuration
+        return configs, np.eye(N, dtype=complex)[:, :, None, None]
+    sub = ChainContext(model, len(mus), mus)
+    m = len(configs)
+    blocks = np.empty((N, N, m, m), dtype=complex)
+    width = _chunk_width(N, N * sub.dim)
+    for lo in range(0, m, width):
+        hi = min(lo + width, m)
+        cols = np.zeros((sub.dim, hi - lo), dtype=complex)
+        cols[configs[lo:hi], np.arange(hi - lo)] = 1.0
+        for b in range(1, N + 1):
+            blocks[:, b - 1, :, lo:hi] = monodromy_columns(
+                sub, lam, b, cols)[:, configs]
+    return configs, blocks
+
+
+class SplitMonodromy:
+    """T(lam)'s dense sector blocks from the monodromies of two half chains.
+
+    The head is sites 1..h, h = floor(L/2), the slow digits of the basis
+    index, and the tail the other L - h sites.  Site 1 acts first, so the
+    monodromy is the auxiliary-space product T = T_tail T_head, and
+
+        <r| T(lam) |s> = sum_{c,b} T^head_{b,c}[hr, hs] T^tail_{c,b}[tr, ts]
+
+    for chain states r = (hr, tr) and s = (hs, ts).  Both halves are built
+    once, over the configurations that `sectors` use, and every `block` of
+    those sectors reads them.
+    """
+
+    def __init__(self, ctx, lam, sectors):
+        N, L, h = ctx.N, ctx.L, ctx.L // 2
+        self.N, self.L = N, L
+        self._tail_dim = N ** (L - h)
+        # the head digit sums p and tail sums n - p of sector n's states
+        head, tail = set(), set()
+        for n in sectors:
+            ps = range(max(0, n - (N - 1) * (L - h)), min(n, (N - 1) * h) + 1)
+            head.update(ps)
+            tail.update(n - p for p in ps)
+        mus = ctx.inhomogeneities
+        self._head = _half_monodromy(ctx.model, lam, mus[:h], list(head))
+        self._tail = _half_monodromy(ctx.model, lam, mus[h:], list(tail))
+
+    def block(self, n):
+        """The block of sector n, rows and columns in the order of
+        `sector_indices`, assembled in chunks of rows of about
+        `_BLOCK_CELLS` entries; no array has N^L rows."""
+        idx = sector_indices(self.N, self.L, n)
+        dim = len(idx)
+        # each state's head and tail among the halves' configurations
+        (hconf, H), (tconf, T) = self._head, self._tail
+        hpos = np.searchsorted(hconf, idx // self._tail_dim)
+        tpos = np.searchsorted(tconf, idx % self._tail_dim)
+        H = H.reshape(self.N, self.N, -1)
+        T = T.reshape(self.N, self.N, -1)
+        out = np.zeros((dim, dim), dtype=complex)
+        # a chunk holds two index arrays and two gathered factors
+        rows = max(1, _BLOCK_CELLS // (4 * dim))
+        for lo in range(0, dim, rows):
+            hflat = hpos[lo:lo + rows, None] * len(hconf) + hpos
+            tflat = tpos[lo:lo + rows, None] * len(tconf) + tpos
+            for c in range(self.N):
+                for b in range(self.N):
+                    term = H[b, c][hflat]
+                    term *= T[c, b][tflat]
+                    out[lo:lo + rows] += term
+        return out
+
+
 def transfer_block(ctx, lam, n):
     """The dense block of T(lam) on sector n, rows and columns in the order
-    of `sector_indices`.
-
-    Identity columns go through the contraction in chunks whose work
-    arrays stay near `_BLOCK_CELLS` complex numbers, and no array has N^L
-    rows.  A sector over `DENSE_LIMIT` states raises DimensionTooLarge
-    before anything is allocated.
-    """
-    dim = dense_sector_dimension(ctx.N, ctx.L, n)
-    weights = _site_weights(ctx, lam)
-    block = np.zeros((dim, dim), dtype=complex)
-    for a in range(1, ctx.N + 1):
-        # total charge n + a - 1: segment a - 1 is sector n, in index order
-        plan = ctx._plan((n + a - 1,))
-        start, stop, _ = plan.segments[a - 1]
-        width = _chunk_width(ctx.N, plan.size)
-        for lo in range(0, dim, width):
-            hi = min(lo + width, dim)
-            eye = np.eye(dim, hi - lo, -lo, dtype=complex)  # columns lo..hi-1
-            block[:, lo:hi] += _contract(plan, weights, a, eye)[start:stop]
-    return block
+    of `sector_indices`: `SplitMonodromy` over that one sector.  A sector
+    over `DENSE_LIMIT` states raises DimensionTooLarge before anything is
+    allocated."""
+    dense_sector_dimension(ctx.N, ctx.L, n)
+    return SplitMonodromy(ctx, lam, (n,)).block(n)
 
 
 def reference_state(N, L):

@@ -19,8 +19,8 @@ import numpy as np
 from . import amplitudes as amp
 from . import bethe as bt
 from .amplitudes import relative_residual, worst_residual
-from .chain import (dense_sector_dimension, monodromy_columns,
-                    monodromy_element, reference_state, transfer_block,
+from .chain import (SplitMonodromy, dense_sector_dimension,
+                    monodromy_columns, monodromy_element, reference_state,
                     vacuum_weight)
 from .errors import (DegenerateParameters, IndexOutOfRange, ParameterDomain,
                      Singularity)
@@ -60,9 +60,11 @@ def exact_spectrum(ctx, lam, sectors=None):
     sites = [eval_r(ctx.model, lam, mu).values for mu in ctx.inhomogeneities]
     flip = all(np.array_equal(w[ice_flip_slots(ctx.N)], w) for w in sites)
     mirror = {n: min(n, top - n) if flip else n for n in sectors}
+    built = tuple(dict.fromkeys(mirror.values()))
+    split = SplitMonodromy(ctx, lam, built)
     evals = {m: (_centrosymmetric_eigvals if flip and 2 * m == top
-                 else np.linalg.eigvals)(transfer_block(ctx, lam, m))
-             for m in dict.fromkeys(mirror.values())}
+                 else np.linalg.eigvals)(split.block(m))
+             for m in built}
     return [(n, np.array(sorted(evals[mirror[n]],
                                 key=lambda z: (z.real, z.imag))))
             for n in sectors]

@@ -560,7 +560,13 @@ class RationalKernel:
         size: unshifted, L13 dwarfs L12 at large |Re u|.  It raises
         ParameterDomain at the first u that is not finite, as `eval_r`
         does, then at the first pole, as `evaluate` does, then at the
-        first u where the relation's terms overflow (|Re u| > 700 or so).
+        first u where the relation's terms overflow (|Re u| > 700 or so)
+        or where the Lax arguments cannot carry eta.  Each argument
+        w = x (+ u) + eta/2 +- eta m is rounded to the doubles next to
+        it; where they lie more than |eta| apart (np.spacing), arguments
+        that differ by eta round onto one grid step, and the residual
+        would measure that rounding (0.15 at u = 1e308j), not the
+        weights.  At N = 3, eta = 0.4375 that is |Im u| >= 2^51 - 1.
         """
         us = np.asarray(us, dtype=complex)
         bad = ~np.isfinite(us)
@@ -568,10 +574,14 @@ class RationalKernel:
             _finite(us[bad.argmax()])  # raises at the first, as eval_r does
         N, dim = self.N, 2 * self.N * self.N
         x = _RELATION_OFFSET - us.real / 2
+        args = np.stack([x, x + us], -1)
+        # the largest part of any Lax argument: |eta/2 +- eta m| <= |eta| N/2
+        reach = np.maximum(abs(args.real), abs(args.imag)).max(-1)
+        coarse = np.spacing(reach + abs(self.eta) * N / 2) > abs(self.eta)
         dense = np.zeros((len(us), N * N, N * N), dtype=complex)
         lay = _layout(N)
         with np.errstate(all="ignore"):  # an overflow is refused below
-            lax = _fundamental_lax(N, self.eta, np.stack([x, x + us], -1))
+            lax = _fundamental_lax(N, self.eta, args)
             lax12, lax13 = lax.reshape(len(us), 2, 2, N, 2, N).swapaxes(0, 1)
             entries, refused = self.evaluate_array(us)
             if refused.any():
@@ -586,10 +596,14 @@ class RationalKernel:
             # a product per point: stacked ones run slower from N = 7 on
             out = [relative_residual(a @ b @ c, c @ b @ a) for a, b, c in zip(
                 *(m.reshape(-1, dim, dim) for m in (l12, l13, r)))]
-        for u, res in zip(us, out):  # an overflow leaves inf or nan
-            if not np.isfinite(res):
+        for u, res, lost in zip(us, out, coarse):
+            if not np.isfinite(res):  # an overflow leaves inf or nan
                 raise ParameterDomain(f"the Lax relation of the higher-spin "
                                       f"weights overflows at u = {u}")
+            if lost:
+                raise ParameterDomain(
+                    f"the Lax arguments at u = {u} are too large to carry "
+                    f"eta = {self.eta}")
         return out
 
 

@@ -310,8 +310,22 @@ def test_batched_apply_matches_single_applies(fixture, request):
                 1.0, np.max(np.abs(single)))
 
 
+def _flip_asymmetric_six(six):
+    # six-vertex with the b weight of (2,1;2,1) off from its flip partner
+    def weights(lam, mu):
+        w = six.eval_r(lam, mu).values.copy()
+        w[W.ice_slot(2, 2, 1, 2, 1)] *= 1.1
+        return W.WeightMatrix(2, w)
+    return W.custom_model(2, weights)
+
+
 def test_sector_blocks_match_dense_transfer(six, spin1, spin32):
-    for model, L in [(six, 4), (spin1, 3), (spin32, 3)]:
+    # L = 1 leaves the head of the split product without sites, and an
+    # odd L makes its tail the longer half; the last model's weights are
+    # not their own spin flip
+    for model, L in [(six, 4), (spin1, 3), (spin32, 3), (six, 1), (spin1, 1),
+                     (six, 7), (W.higher_spin_xxz(5, ETA), 3),
+                     (_flip_asymmetric_six(six), 5)]:
         ctx = C.ChainContext(model, L)
         lam = 0.19 + 0.23j
         tmat = C.transfer_matrix(ctx, lam)
@@ -332,23 +346,72 @@ def _slab_block(ctx, lam, n):
     return C.transfer_matrix(ctx, lam).apply(cols)[idx]
 
 
-@pytest.mark.parametrize("cells", [None, 1])
-@pytest.mark.parametrize("N, L", [(2, 1), (2, 6), (3, 4), (4, 3)])
-def test_sector_blocks_are_bitwise_the_slab_apply(N, L, cells, monkeypatch):
-    # one cell: every chunk is a single column
-    if cells is not None:
-        monkeypatch.setattr(C, "_BLOCK_CELLS", cells)
+def _block_error(block, want):
+    """Max-normalized distance of a sector block from its reference."""
+    return np.max(np.abs(block - want)) / max(1.0, np.max(np.abs(want)))
+
+
+def _random_chain(N, L):
     rng = rng_for("block", 10 * N + L)
     model = W.higher_spin_xxz(N, ETA)
     ctx = C.ChainContext(model, L, [W.random_point(rng, model.sample_window)
                                     for _ in range(L)])
-    lam = W.random_point(rng, model.sample_window)
-    for n in range((N - 1) * L + 1):
+    return ctx, W.random_point(rng, model.sample_window)
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+@pytest.mark.parametrize("N, L", [(2, 1), (2, 6), (3, 4), (4, 3)])
+def test_sector_blocks_match_the_slab_apply(N, L, cells, monkeypatch):
+    # the split product rounds otherwise than the full contraction; one
+    # cell (single-row chunks of a block, single-column chunks of the
+    # halves) leaves its bits as they are
+    ctx, lam = _random_chain(N, L)
+    top = (N - 1) * L
+    default = [C.transfer_block(ctx, lam, n) for n in range(top + 1)]
+    if cells is not None:
+        monkeypatch.setattr(C, "_BLOCK_CELLS", cells)
+    for n, want in enumerate(default):
         block = C.transfer_block(ctx, lam, n)
-        assert block.tobytes() == _slab_block(ctx, lam, n).tobytes()
-    for n in (-1, (N - 1) * L + 1):
+        assert block.tobytes() == want.tobytes()
+        assert _block_error(block, _slab_block(ctx, lam, n)) <= 1e-14
+    for n in (-1, top + 1):
         with pytest.raises(EmptySector):
             C.transfer_block(ctx, lam, n)
+
+
+@pytest.mark.parametrize("half", ["_head", "_tail"])
+@pytest.mark.parametrize("N, L", [(2, 6), (3, 4)])
+def test_a_perturbed_half_monodromy_fails_the_slab_check(N, L, half):
+    # negative control: one entry of T_{1,1} of either half off by 1e-12
+    ctx, lam = _random_chain(N, L)
+    n = L // 2
+    split = C.SplitMonodromy(ctx, lam, (n,))
+    blocks = getattr(split, half)[1]
+    blocks[0, 0, 0, 0] *= 1 + 1e-12
+    assert _block_error(split.block(n), _slab_block(ctx, lam, n)) > 1e-14
+
+
+@pytest.mark.parametrize("model, L", [("six", 10), ("six", 7), ("spin1", 4)])
+def test_exact_spectrum_builds_each_half_once(model, L, six, spin1,
+                                              monkeypatch):
+    # six-vertex reads its upper sectors from their mirrors; spin-1 builds
+    # every sector's block
+    model = {"six": six, "spin1": spin1}[model]
+    ctx = C.ChainContext(model, L, [0.05 * k + 0.02j * k
+                                    for k in range(1, L + 1)])
+    halves = []
+    real = C._half_monodromy
+
+    def counting(model, lam, mus, sums):
+        halves.append(mus)
+        return real(model, lam, mus, sums)
+    monkeypatch.setattr(C, "_half_monodromy", counting)
+    mus = ctx.inhomogeneities
+    top = (ctx.N - 1) * L
+    for sectors in (None, (0,), (top // 2,), (1, 2, top)):
+        halves.clear()
+        V.exact_spectrum(ctx, 0.31 + 0.12j, sectors)
+        assert halves == [mus[:L // 2], mus[L // 2:]]
 
 
 @pytest.mark.parametrize("cells", [None, 1])

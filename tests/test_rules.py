@@ -300,11 +300,12 @@ def assert_same_spectrum(got, want, tol=1e-12):
 def count_blocks(monkeypatch):
     # the sectors whose dense blocks exact_spectrum builds, in order
     built = []
+    real = C.SplitMonodromy.block
 
-    def counting(ctx, lam, n):
+    def counting(split, n):
         built.append(n)
-        return C.transfer_block(ctx, lam, n)
-    monkeypatch.setattr(V, "transfer_block", counting)
+        return real(split, n)
+    monkeypatch.setattr(C.SplitMonodromy, "block", counting)
     return built
 
 

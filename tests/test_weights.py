@@ -343,6 +343,26 @@ def test_relation_refuses_u_out_of_range(u):
     assert kernel.relation_residuals([700.0])[0] <= 1e-13
 
 
+@pytest.mark.parametrize("u", [1e308j, 3 + 1e17j, 3 + 2.0 ** 51 * 1j,
+                               -2.0 ** 51 * 1j],
+                         ids=["1e308j", "3+1e17j", "2^51", "-2^51"])
+def test_relation_refuses_arguments_that_cannot_carry_eta(u):
+    # at N = 3, eta = 0.4375 the largest Lax argument reaches 2^51, where
+    # doubles are 0.5 > eta apart; the relation read 0.15 at 1e308j and
+    # 0.012 at 3 + 1e17j
+    kernel = W.RationalKernel(3, ETA)
+    with pytest.raises(ParameterDomain, match="carry eta"):
+        kernel.relation_residuals([0.3 + 0.1j, u])
+
+
+@pytest.mark.parametrize("u", [3 + (2.0 ** 51 - 2) * 1j, 3 + 2.0 ** 50 * 1j,
+                               3 + 1e8j])
+def test_relation_evaluates_where_arguments_carry_eta(u):
+    # doubles 0.25 apart or closer: the residual comes back, finite
+    residual, = W.RationalKernel(3, ETA).relation_residuals([u])
+    assert np.isfinite(residual)
+
+
 def test_relation_holds_where_the_solve_refuses():
     # a pair that check-r samples on N = 6, eta = 1.5 (default options),
     # where the intertwiner solve finds no one-dimensional nullspace
