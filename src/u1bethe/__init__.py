@@ -14,7 +14,7 @@ from .amplitudes import (F2_closed, F_offshell, H_function, P_a, Pbar_a,
 from .bethe import (BetheState, OffshellTerm, RootSet, bae_residual,
                     build_bethe_vector, eigenvalue, expansion_for_diagonal,
                     offshell_expansion, solve_bae)
-from .chain import (ChainContext, ChainOperator, StateVector, lax,
+from .chain import (ChainContext, ChainOperator, StateVector,
                     monodromy_element, reference_state, spin_z_total,
                     transfer_matrix, vacuum_weight)
 from .errors import (ConfigError, DegenerateParameters, DimensionTooLarge,
@@ -23,8 +23,8 @@ from .errors import (ConfigError, DegenerateParameters, DimensionTooLarge,
                      SingularJacobian, U1BetheError, UnknownGridPoint)
 from .verify import (IdentityReport, RuleCoefficients, RuleTerm,
                      amplitude_property_suite, appendix_operator_checks,
-                     check_rule_on_lattice, eigenstate_residual,
-                     exact_spectrum, generate_annihilation_creation_rule,
+                     check_rule_on_lattice, exact_spectrum,
+                     generate_annihilation_creation_rule,
                      generate_creation_creation_rule,
                      generate_diag_creation_rule, identity_suite,
                      relative_residual)

@@ -9,8 +9,8 @@ T_{a,a}(lambda) acting on the state, which is what the dense oracles in
 `verify` check.
 
 The Bethe equations are solved by a damped Newton iteration that moves
-every seed in lockstep: each iterate evaluates the residuals of all
-seeds and their forward-difference points in one array pass
+a batch of seeds in lockstep: each iterate evaluates the residuals of
+the batch and its forward-difference points in one array pass
 (`bae_residuals`) and solves all Newton systems in one stacked call.
 Weights refused in that pass come back as a mask that marks their rows
 singular.  The array residuals are bit for bit the scalar `bae_residual`,
@@ -31,7 +31,7 @@ from .chain import (StateVector, monodromy_element, reference_state,
 from .errors import (IndexOutOfRange, InvalidOption, NoConvergence,
                      ParameterDomain, Singularity, SingularJacobian,
                      UnknownGridPoint)
-from .weights import ice_slot
+from .weights import ice_entry_count, ice_slot
 
 _EVAL_ERRORS = (Singularity, ParameterDomain, UnknownGridPoint)
 
@@ -49,22 +49,23 @@ __all__ = [
 EIGENVECTOR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """An ordered set of pairwise-distinct rapidities."""
-    roots: tuple
+def _root_order(z):
+    return z.real, z.imag
 
-    def __post_init__(self):
-        object.__setattr__(self, "roots",
-                           tuple(complex(r) for r in self.roots))
-        amp.require_distinct(self.roots)
 
-    @property
-    def n(self):
-        return len(self.roots)
+class RootSet(tuple):
+    """An ordered set of pairwise-distinct rapidities: a tuple of complex
+    numbers, checked by `amplitudes.require_distinct` when made."""
+    __slots__ = ()
+
+    def __new__(cls, roots):
+        return super().__new__(cls, amp.require_distinct(roots))
+
+    roots = property(tuple)  # as a plain tuple
+    n = property(len)
 
     def sorted(self):
-        return RootSet(tuple(sorted(self.roots, key=lambda z: (z.real, z.imag))))
+        return RootSet(sorted(self, key=_root_order))
 
 
 @dataclass
@@ -80,14 +81,10 @@ class BetheState:
 def build_bethe_vector(ctx, roots, cache=None):
     """Construct the unnormalized n-particle vector on the chain of `ctx`;
     sub-vectors and amplitudes are memoized in the dict `cache`, if given."""
-    if isinstance(roots, RootSet):
-        roots = roots.roots
-    roots = amp.require_distinct(roots)
-    require_nonempty_sector(ctx.N, ctx.L, len(roots))
-    if cache is None:
-        cache = {}
-    vec = _phi(ctx, roots, cache)
-    return BetheState(RootSet(roots), StateVector(ctx.N, ctx.L, vec))
+    roots = RootSet(roots)
+    require_nonempty_sector(ctx.N, ctx.L, roots.n)
+    vec = _phi(ctx, roots, {} if cache is None else cache)
+    return BetheState(roots, StateVector(ctx.N, ctx.L, vec))
 
 
 def _phi(ctx, roots, cache):
@@ -129,8 +126,6 @@ def _phi_sum(ctx, roots, cache):
 
 def bae_residual(ctx, roots, j):
     """Residual of the j-th Bethe equation (1-based); zero on shell."""
-    if isinstance(roots, RootSet):
-        roots = roots.roots
     n = len(roots)
     if not 1 <= j <= n:
         raise IndexOutOfRange(f"equation index {j} outside 1..{n}")
@@ -384,6 +379,10 @@ SEED_OUTCOMES = ("converged", "duplicate", "unphysical", "max_iter",
 # stopped iterations that record the best residual they reached
 _RESIDUAL_FAILURES = ("max_iter", "left_region", "singular_residual")
 
+# complex numbers a `_lockstep_newton` call may hold, about 2K + 8 per
+# weight evaluation (K ice entries): 16 MiB, whatever the seed count
+_NEWTON_CELLS = 2 ** 20
+
 
 class SectorSolve(NamedTuple):
     """`solve_sector`'s result: the states, the number of seeds with each
@@ -398,9 +397,10 @@ def solve_sector(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50,
     """`solve_bae`'s states and the outcome of every seed; finding no
     state is not an error here.
 
-    The Newton iteration runs all seeds in lockstep (`_lockstep_newton`);
-    then each converged seed, in seed order, is kept as a new state,
-    dropped as a duplicate (its sorted roots pair off with a found
+    The Newton iteration runs the seeds in lockstep (`_lockstep_newton`),
+    in batches within `_NEWTON_CELLS` (no seed's path depends on its
+    batch).  Then each converged seed, in seed order, is kept as a new
+    state, dropped as a duplicate (its sorted roots pair off with a found
     state's, or else `same_state` of their signatures), or dropped as
     unphysical: coincident roots, or a set that fails to build an
     eigenvector (vanishing-vector runaways standing in for roots at
@@ -424,15 +424,22 @@ def solve_sector(ctx, n, seeds=None, tol=1e-12, max_iter=60, n_seeds=50,
     require_nonempty_sector(ctx.N, ctx.L, n)
     if seeds is None:
         seeds = _default_seeds(ctx, n, n_seeds, seed)
-    outcomes, iterates, best = _lockstep_newton(ctx, seeds, tol, max_iter)
     found = []
     signatures = []  # of the sets in `found`
-    for outcome, x in zip(outcomes, iterates):
-        if outcome == "converged":
-            outcome = _admit(ctx, tuple(x), found, signatures)
-        counts[outcome] += 1
-    found.sort(key=lambda rs: tuple((z.real, z.imag) for z in rs.roots))
-    failed = [b for b, o in zip(best, outcomes) if o in _RESIDUAL_FAILURES]
+    failed = []  # best residuals of the stopped iterations
+    # a seed and its n difference points evaluate R at n L sites and at
+    # n (n - 1) pairs of roots
+    evals = (n + 1) * n * (ctx.L + n - 1)
+    batch = max(1, _NEWTON_CELLS // (evals * (2 * ice_entry_count(ctx.N) + 8)))
+    for lo in range(0, len(seeds), batch):
+        got = _lockstep_newton(ctx, seeds[lo:lo + batch], tol, max_iter)
+        for outcome, x, best in zip(*got):
+            if outcome == "converged":
+                outcome = _admit(ctx, tuple(x), found, signatures)
+            elif outcome in _RESIDUAL_FAILURES:
+                failed.append(best)
+            counts[outcome] += 1
+    found.sort(key=lambda rs: tuple(map(_root_order, rs)))
     return SectorSolve(found, counts, float(min(failed, default=np.inf)))
 
 
@@ -454,10 +461,11 @@ def _admit(ctx, x, found, signatures):
     that fails `_is_physical` is unphysical; any other joins `found`.
     """
     try:
-        rs = RootSet(_fold_period(x, ctx.model.rapidity_period)).sorted()
+        rs = RootSet(sorted(_fold_period(x, ctx.model.rapidity_period),
+                            key=_root_order))
     except Singularity:
         return "unphysical"  # coincident roots: not an admissible state
-    if any(_same_roots(rs.roots, other.roots) for other in found):
+    if any(_same_roots(rs, other) for other in found):
         return "duplicate"
     sig = state_signature(ctx, rs)
     if any(same_state(sig, other) for other in signatures):
@@ -500,8 +508,6 @@ def _wanted_coefficient(ctx, lam, roots, a):
 
 def eigenvalue(ctx, lam, roots):
     """Transfer-matrix eigenvalue predicted for the given root set."""
-    if isinstance(roots, RootSet):
-        roots = roots.roots
     return sum((_wanted_coefficient(ctx, lam, roots, a)
                 for a in range(1, ctx.N + 1)), 0.0 + 0.0j)
 
@@ -549,9 +555,7 @@ def expansion_for_diagonal(ctx, lam, roots, a, cache=None):
     state, `terms` the enumerated unwanted contributions (t ascending,
     p ascending, index tuples lexicographic).
     """
-    if isinstance(roots, RootSet):
-        roots = roots.roots
-    roots = amp.require_distinct(roots)
+    roots = RootSet(roots)
     if cache is None:
         cache = {}
     model = ctx.model
@@ -599,8 +603,6 @@ def offshell_expansion(ctx, lam, roots, cache=None):
     Returns (wanted, terms): wanted = Lambda_n(lambda) |Phi_n> and the
     concatenated per-diagonal unwanted terms (a ascending).
     """
-    if isinstance(roots, RootSet):
-        roots = roots.roots
     if cache is None:
         cache = {}
     wanted_total = None

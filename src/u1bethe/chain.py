@@ -17,10 +17,9 @@ from .weights import _finite, eval_r, ice_entry_count, ice_row_slots, ice_slot
 
 __all__ = [
     "DENSE_LIMIT", "MAX_CHAIN_DIM", "ChainContext", "ChainOperator",
-    "StateVector", "lax", "monodromy_element", "transfer_matrix",
-    "reference_state", "vacuum_weight", "spin_z_total", "sector_indices",
-    "transfer_block", "dense_sector_dimension", "monodromy_columns",
-    "SplitMonodromy",
+    "StateVector", "monodromy_element", "transfer_matrix", "reference_state",
+    "vacuum_weight", "spin_z_total", "sector_indices", "transfer_block",
+    "dense_sector_dimension", "monodromy_columns", "SplitMonodromy",
 ]
 
 # Largest dimension of a dense matrix that may be requested: the full N^L
@@ -48,7 +47,9 @@ MAX_CHAIN_DIM = 2 ** 20
 
 
 class ChainContext:
-    """Model + chain length + inhomogeneities; immutable once built."""
+    """Model + chain length + inhomogeneities, fixed once built.  The one
+    state a context changes is its memo of contraction plans, and a plan
+    depends only on (N, L, charges), never on the weights."""
 
     _PLAN_BYTES = 16 * 2 ** 20  # byte budget of the contraction plans
 
@@ -166,11 +167,6 @@ def _digit_sums(N, L):
 def sector_indices(N, L, n):
     """Basis indices spanning the n-particle sector."""
     return np.flatnonzero(_digit_sums(N, L) == n)
-
-
-def lax(model, lam, mu_i):
-    """Dense Lax operator on C^N (x) C^N; auxiliary space first."""
-    return eval_r(model, lam, mu_i).dense()
 
 
 def monodromy_element(ctx, lam, a, b):

@@ -283,9 +283,9 @@ def cmd_solve(model, ctx, opts):
         results.append({"roots": None, "note": "no roots found",
                         "best_residual": float(got.best_residual)})
     for rs in got.states:
-        bres = amp.worst_residual([abs(bt.bae_residual(ctx, rs.roots, j))
+        bres = amp.worst_residual([abs(bt.bae_residual(ctx, rs, j))
                                    for j in range(1, rs.n + 1)])
-        record = {"roots": list(rs.roots),
+        record = {"roots": list(rs),
                   "bae_residual": bres,
                   "eigenvalues": [bt.eigenvalue(ctx, lam, rs)
                                   for lam in lams]}

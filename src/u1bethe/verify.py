@@ -28,7 +28,7 @@ from .weights import charge_block, eval_r, ice_flip_slots, random_point
 
 __all__ = [
     "RuleCoefficients", "RuleTerm", "IdentityReport",
-    "exact_spectrum", "eigenstate_residual", "relative_residual",
+    "exact_spectrum", "relative_residual",
     "generate_diag_creation_rule", "generate_creation_creation_rule",
     "generate_annihilation_creation_rule", "check_rule_on_lattice",
     "enumerate_rules", "creation_rule_counts", "table3_counts",
@@ -79,12 +79,6 @@ def _centrosymmetric_eigvals(block):
     even[:, :h] += mirror
     return np.concatenate([np.linalg.eigvals(even),
                            np.linalg.eigvals(block[:h, :h] - mirror[:h])])
-
-
-def eigenstate_residual(ctx, lam, roots, cache=None):
-    """`bethe.eigenvector_residual` of the Bethe vector built from `roots`."""
-    return bt.eigenvector_residual(ctx, lam,
-                                   bt.build_bethe_vector(ctx, roots, cache))
 
 
 # ----------------------------------------------------------------------

@@ -372,11 +372,9 @@ def six_vertex(eta=0.4375):
     def _eval(lam, mu):
         return _six_vertex_weights(eta, c, lam - mu)
 
-    def _eval_array(us):
-        return _six_vertex_array(eta, c, us)
-
     return ModelSpec("six_vertex", 2, {"eta": eta}, _eval,
-                     rapidity_period=1j * np.pi, array_fn=_eval_array)
+                     rapidity_period=1j * np.pi,
+                     array_fn=functools.partial(_six_vertex_array, eta, c))
 
 
 def _qbracket(x, eta):
@@ -493,10 +491,19 @@ class RationalKernel:
     def evaluate(self, u):
         """The weights at u.  P_k and Q are both scaled by z^-d
         (Re u > 0) or z^d, which cancels, so only powers of a t = e^-u or
-        e^u with |t| <= 1 are formed."""
+        e^u with |t| <= 1 are formed.  ParameterDomain at a pole
+        (`_is_pole`)."""
         flip = u.real > 0
         pw = cmath.exp(-u if flip else u) ** self._powers
-        return WeightMatrix(self.N, self._entries(u, flip, pw))
+        coef = self._coef[:, ::-1] if flip else self._coef
+        vals = coef @ pw
+        q = vals[0]
+        if self._is_pole(q, flip, pw):
+            raise ParameterDomain(f"higher-spin weights have a pole at "
+                                  f"u = {complex(u)}: Q(e^u) = 0")
+        vals /= q
+        vals[0] = 1.0
+        return WeightMatrix(self.N, vals)
 
     def evaluate_array(self, us):
         """`evaluate` at every u of the 1-D array `us`: (entries, refused),
@@ -504,7 +511,7 @@ class RationalKernel:
         `evaluate` raises.  np.exp and the powers vectorize bit for bit,
         and each Laurent branch takes one stacked matrix product.  On the
         flipped branch the coefficients are the reversed view that
-        `_entries` reads: numpy multiplies that strided view by the loop of
+        `evaluate` reads: numpy multiplies that strided view by the loop of
         one matrix-vector product, where a contiguous reversed copy would
         go through BLAS and round differently.  The pole guard's first test
         (np.hypot is the scalar abs) runs on the array, and `_is_pole`
@@ -534,19 +541,6 @@ class RationalKernel:
         coef = self._coef[0, ::-1] if flip else self._coef[0]
         return abs(q) < 2e-9 * self._q_size and abs(q) < 1e-9 * sum(
             abs(qj * tj) for qj, tj in zip(coef, pw))
-
-    def _entries(self, u, flip, pw):
-        """The entries at u from pw, the powers 0..2d of t = e^-u (`flip`)
-        or e^u; ParameterDomain at a pole (`_is_pole`)."""
-        coef = self._coef[:, ::-1] if flip else self._coef
-        vals = coef @ pw
-        q = vals[0]
-        if self._is_pole(q, flip, pw):
-            raise ParameterDomain(f"higher-spin weights have a pole at "
-                                  f"u = {complex(u)}: Q(e^u) = 0")
-        vals /= q
-        vals[0] = 1.0
-        return vals
 
     def relation_residuals(self, us):
         """The relative residual, at each u of `us`, of the mixed
@@ -774,11 +768,6 @@ def _dense_permutation(N):
     return p
 
 
-def _embed_13(r_dense, N):
-    t = r_dense.reshape(N, N, N, N)
-    return np.einsum("ikIK,jJ->ijkIJK", t, np.eye(N)).reshape(N ** 3, N ** 3)
-
-
 def check_yang_baxter(model, l1, l2, l3):
     """Max-abs residual of the Yang-Baxter equation at (l1, l2, l3).
 
@@ -793,21 +782,19 @@ def check_yang_baxter(model, l1, l2, l3):
     eye_n = np.eye(N)
     m12 = np.kron(r12, eye_n)
     m23 = np.kron(eye_n, r23)
-    m13 = _embed_13(r13, N)
+    m13 = np.einsum("ikIK,jJ->ijkIJK", r13.reshape(N, N, N, N),
+                    eye_n).reshape(N ** 3, N ** 3)
     lhs = m12 @ m13 @ m23
     rhs = m23 @ m13 @ m12
     scale = max(np.max(np.abs(r12)), np.max(np.abs(r13)), np.max(np.abs(r23)))
     return float(np.max(np.abs(lhs - rhs)) / max(scale, 1e-300))
 
 
-def _swap_spaces(r_dense, N):
-    return r_dense.reshape(N, N, N, N).transpose(1, 0, 3, 2).reshape(N * N, N * N)
-
-
 def check_unitarity(model, lam, mu):
     """Max-abs entry of R21(lam, mu) R12(mu, lam) - I."""
     N = model.N
-    r21 = _swap_spaces(model.eval_r(lam, mu).dense(), N)
+    r21 = model.eval_r(lam, mu).dense().reshape(N, N, N, N).transpose(
+        1, 0, 3, 2).reshape(N * N, N * N)
     r12 = model.eval_r(mu, lam).dense()
     return float(np.max(np.abs(r21 @ r12 - np.eye(N * N))))
 

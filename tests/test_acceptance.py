@@ -105,9 +105,10 @@ def test_criterion_4_on_shell_spectrum(six, spin1):
                     pred = B.eigenvalue(ctx, lam0, rs)
                     dist = min(abs(pred - ev) for ev in spectrum[n])
                     matches.append(dist / max(abs(pred), 1e-30))
+                    state = B.build_bethe_vector(ctx, rs)
                     for _ in range(5):
                         lam = points(model, rng, 1)[0]
-                        vecs.append(V.eigenstate_residual(ctx, lam, rs))
+                        vecs.append(B.eigenvector_residual(ctx, lam, state))
     found = len(matches)
     worst_match, worst_vec = worst_residual(matches), worst_residual(vecs)
     elapsed = time.perf_counter() - t0

@@ -538,11 +538,15 @@ def test_four_root_amplitude_tower():
             assert abs(base - th * v) < 1e-8 * max(abs(base), 1e-30)
 
 
+def _eigenstate_residual(ctx, lam, roots):
+    return B.eigenvector_residual(ctx, lam, B.build_bethe_vector(ctx, roots))
+
+
 def test_eigenstate_residual_behaviour(ctx6):
     rs = B.solve_bae(ctx6, 1, n_seeds=30)[0]
-    assert V.eigenstate_residual(ctx6, 0.4 - 0.3j, rs) < 1e-8
-    assert V.eigenstate_residual(ctx6, 0.4 - 0.3j, (0.9 + 0.2j,)) > 1e-4
-    assert V.eigenstate_residual(ctx6, 0.4 - 0.3j, ()) < 1e-12
+    assert _eigenstate_residual(ctx6, 0.4 - 0.3j, rs) < 1e-8
+    assert _eigenstate_residual(ctx6, 0.4 - 0.3j, (0.9 + 0.2j,)) > 1e-4
+    assert _eigenstate_residual(ctx6, 0.4 - 0.3j, ()) < 1e-12
 
 
 def test_eigenstate_residual_is_relative_to_eigenvalue(ctx3h):
@@ -551,4 +555,44 @@ def test_eigenstate_residual_is_relative_to_eigenvalue(ctx3h):
     lam = -0.88 + 0.02j
     for rs in B.solve_bae(ctx3h, 1, n_seeds=30):
         assert abs(B.eigenvalue(ctx3h, lam, rs)) > 1e5
-        assert V.eigenstate_residual(ctx3h, lam, rs) < 1e-10
+        assert _eigenstate_residual(ctx3h, lam, rs) < 1e-10
+
+
+# ----------------------------------------------------------------------
+# root sets
+# ----------------------------------------------------------------------
+
+def test_root_set_is_a_checked_tuple():
+    rs = B.RootSet([0.3, 0.1 - 0.2j])
+    assert isinstance(rs, tuple) and rs == (0.3 + 0j, 0.1 - 0.2j)
+    assert type(rs.roots) is tuple and rs.roots == tuple(rs) and rs.n == 2
+    assert all(type(z) is complex for z in rs)
+    assert type(rs.sorted()) is B.RootSet
+    assert rs.sorted() == (0.1 - 0.2j, 0.3 + 0j)
+    with pytest.raises(Singularity):
+        B.RootSet((0.2, 0.2 + 1e-14j))
+
+
+def _bits(*parts):
+    return np.concatenate([np.ravel(np.asarray(p, dtype=complex))
+                           for p in parts]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_root_set_and_tuple_give_the_same_bits(ctx3h, n):
+    lam = 0.29 + 0.17j
+    roots = ROOTS[:n]
+    out = {}
+    for kind in (tuple, B.RootSet):
+        rs = kind(roots)
+        vec = B.build_bethe_vector(ctx3h, rs).vector.amplitudes
+        res = [B.bae_residual(ctx3h, rs, j) for j in range(1, n + 1)]
+        ev = B.eigenvalue(ctx3h, lam, rs)
+        diag = [B.expansion_for_diagonal(ctx3h, lam, rs, a)
+                for a in range(1, ctx3h.N + 1)]
+        full = B.offshell_expansion(ctx3h, lam, rs)
+        out[kind] = [_bits(vec, res, ev)] + [
+            _bits(w.amplitudes, [t.coefficient for t in terms],
+                  *[t.vector.amplitudes for t in terms])
+            for w, terms in diag + [full]]
+    assert out[tuple] == out[B.RootSet]

@@ -25,8 +25,15 @@ def ctx3(spin1):
 
 
 def test_lax_is_dense_weights(six):
+    # the dense Lax operator on C^N (x) C^N, auxiliary space first, is the
+    # weights indexed [(a, b), (c, d)] row-major
     lam, mu = 0.31 + 0.12j, -0.2
-    assert np.array_equal(C.lax(six, lam, mu), six.eval_r(lam, mu).dense())
+    w = six.eval_r(lam, mu)
+    N = six.N
+    want = np.array([[w.entry(a, b, c, d) for c in range(1, N + 1)
+                      for d in range(1, N + 1)]
+                     for a in range(1, N + 1) for b in range(1, N + 1)])
+    assert np.array_equal(w.dense(), want)
 
 
 def test_dense_forms_are_not_shared():
@@ -35,9 +42,9 @@ def test_dense_forms_are_not_shared():
     six = W.six_vertex(ETA)
     lam = 0.3 + 0.1j
     clean = W.check_unitarity(six, lam, 0)
-    C.lax(six, lam, 0)[1, 1] = 99
+    six.eval_r(lam, 0).dense()[1, 1] = 99
     assert W.check_unitarity(six, lam, 0) == clean
-    assert C.lax(six, lam, 0)[1, 1] == six.eval_r(lam, 0).entry(1, 2, 1, 2)
+    assert six.eval_r(lam, 0).dense()[1, 1] == six.eval_r(lam, 0).entry(1, 2, 1, 2)
 
 
 def test_memoized_weights_are_read_only(spin1):
@@ -59,7 +66,7 @@ def test_lax_u1_invariance(spin1):
     s = (N - 1) / 2.0
     sz = np.diag([s - k for k in range(N)])
     big = np.kron(sz, np.eye(N)) + np.kron(np.eye(N), sz)
-    r = C.lax(spin1, 0.4 + 0.3j, -0.1)
+    r = spin1.eval_r(0.4 + 0.3j, -0.1).dense()
     assert np.max(np.abs(r @ big - big @ r)) == 0.0
 
 
@@ -266,7 +273,7 @@ def _brute_force_monodromy(ctx, lam):
     N, L = ctx.N, ctx.L
     full = np.eye(N ** (L + 1), dtype=complex)
     for k in range(1, L + 1):
-        r = C.lax(ctx.model, lam, ctx.inhomogeneities[k - 1])
+        r = ctx.model.eval_r(lam, ctx.inhomogeneities[k - 1]).dense()
         factor = np.zeros_like(full)
         for c in range(N):
             for e in range(N):
@@ -509,7 +516,7 @@ def _einsum_monodromy(ctx, lam, a, b, vec):
     cur = np.zeros((N,) + (N,) * L + batch, dtype=complex)
     cur[b - 1] = vec.reshape((N,) * L + batch)
     for k in range(1, L + 1):
-        r = C.lax(ctx.model, lam, ctx.inhomogeneities[k - 1])
+        r = ctx.model.eval_r(lam, ctx.inhomogeneities[k - 1]).dense()
         # blocks[c, e][i, j] = R_{c+1,i+1}^{e+1,j+1}
         blocks = r.reshape(N, N, N, N).transpose(0, 2, 1, 3)
         moved = np.moveaxis(cur, k, 1)

@@ -3,6 +3,7 @@ oracles: `bae_residual` row by row, and a Newton loop run one seed at a
 time, each to the bit."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,3 +214,51 @@ def test_seed_outcomes_account_for_every_seed(six):
     none = B.solve_sector(ctx, 1, seeds=[(2.9 + 1.4j,)], max_iter=3)
     assert none.states == [] and none.outcomes["max_iter"] == 1
     assert 0 < none.best_residual < np.inf
+
+
+# ----------------------------------------------------------------------
+# seed batches
+# ----------------------------------------------------------------------
+
+def _solved(got):
+    roots = np.array([rs.roots for rs in got.states], dtype=complex)
+    return roots.tobytes(), got.outcomes, got.best_residual
+
+
+@pytest.mark.parametrize("family, L", [("six", 10), (3, 3)],
+                         ids=["six-L10", "spin1-L3"])
+def test_seed_batches_do_not_change_the_solve(family, L, monkeypatch):
+    if family == "six":
+        ctx = C.ChainContext(W.six_vertex(ETA), L, _ladder(L))
+    else:
+        ctx = C.ChainContext(W.higher_spin_xxz(family, ETA), L, MUS3)
+    sizes = []
+    newton = B._lockstep_newton
+
+    def counted(ctx, seeds, tol, max_iter):
+        sizes.append(len(seeds))
+        return newton(ctx, seeds, tol, max_iter)
+
+    monkeypatch.setattr(B, "_lockstep_newton", counted)
+    whole = B.solve_sector(ctx, 2, n_seeds=60)
+    assert sizes == [60]  # the default budget: one batch
+    monkeypatch.setattr(B, "_NEWTON_CELLS", 10_000)
+    sizes.clear()
+    batched = B.solve_sector(ctx, 2, n_seeds=60)
+    assert len(sizes) > 6 and sum(sizes) == 60
+    assert _solved(batched) == _solved(whole)
+    assert whole.states and whole.outcomes["max_iter"] < 60
+
+
+def test_solver_memory_is_bounded_whatever_the_seed_count(six):
+    ctx = C.ChainContext(six, 14, _ladder(14))
+    tracemalloc.start()
+    try:
+        got = B.solve_sector(ctx, 2, n_seeds=2000, max_iter=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(got.outcomes.values()) == 2000
+    # one iterate over all 2000 seeds at once peaked at 36.5 MiB, about
+    # 18 KiB a seed; batches of 582 seeds read 11 MiB
+    assert peak < 16 * 2 ** 20
