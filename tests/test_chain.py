@@ -44,7 +44,8 @@ def test_dense_forms_are_not_shared():
     clean = W.check_unitarity(six, lam, 0)
     six.eval_r(lam, 0).dense()[1, 1] = 99
     assert W.check_unitarity(six, lam, 0) == clean
-    assert six.eval_r(lam, 0).dense()[1, 1] == six.eval_r(lam, 0).entry(1, 2, 1, 2)
+    w = six.eval_r(lam, 0)
+    assert w.dense()[1, 1] == w.entry(1, 2, 1, 2)
 
 
 def test_memoized_weights_are_read_only(spin1):

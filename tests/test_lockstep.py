@@ -259,6 +259,6 @@ def test_solver_memory_is_bounded_whatever_the_seed_count(six):
     finally:
         tracemalloc.stop()
     assert sum(got.outcomes.values()) == 2000
-    # one iterate over all 2000 seeds at once peaked at 36.5 MiB, about
-    # 18 KiB a seed; batches of 582 seeds read 11 MiB
+    # one iterate over all 2000 seeds at once peaked at 36.3 MiB, about
+    # 18 KiB a seed; batches of 582 seeds read 11.6 MiB
     assert peak < 16 * 2 ** 20
